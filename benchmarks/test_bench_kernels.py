@@ -6,10 +6,9 @@ loops that dominated wall time at the 100x E1 scale point: the per-hit
 projection cascade, ``greedy_sparsify_batch``'s per-feature ``trial.copy()``
 chain, and the per-row greedy feature ranking.  This module keeps verbatim
 copies of those pre-kernel implementations as the baseline, times both
-sides on 100x-E1-shaped inputs, asserts the dispatched kernels are (a)
-bitwise-equal and (b) at least ``MIN_SPEEDUP``x faster in aggregate, and
-records the per-kernel timings to ``BENCH_KERNELS.json`` with the active
-kernel path stamped in.
+sides on 100x-E1-shaped inputs, asserts the kernels are (a) bitwise-equal
+and (b) at least ``MIN_SPEEDUP``x faster in aggregate, and records the
+per-kernel timings to ``BENCH_KERNELS.json``.
 """
 
 import time
@@ -17,7 +16,12 @@ import time
 import numpy as np
 from conftest import record
 
-from fairexp.explanations import resolve_kernels
+from fairexp.explanations import (
+    batch_counterfactual_distance,
+    build_prefix_revert_trials,
+    project_candidates,
+    rank_changed_features,
+)
 
 # The 100x E1 point audits 8000 rows of the 6-feature loan workload; a
 # lockstep wave projects a (pending, candidates, d) tensor and scores tens
@@ -28,7 +32,7 @@ N_FEATURES = 6            # loan workload width
 N_HITS = 60000            # hit pairs distance-scored across the run
 N_SPARSIFY_ROWS = 4000    # instances entering greedy sparsification
 
-# Acceptance bar: the dispatched kernels must at least halve the aggregate
+# Acceptance bar: the kernels must at least halve the aggregate
 # wall time of the pre-kernel loops (ISSUE 6 acceptance criterion).
 MIN_SPEEDUP = 2.0
 
@@ -130,8 +134,7 @@ def _best_of(runs, fn):
 
 
 def test_kernels_vs_legacy_loops(benchmark):
-    """Dispatched kernels: bitwise-equal to the pre-kernel loops, >=2x faster."""
-    kernels = resolve_kernels(None)
+    """Kernels: bitwise-equal to the pre-kernel loops, >=2x faster."""
     (scale, X_hits, hit_candidates, x_wave, wave_candidates, constraints,
      X_sparse, sparse_candidates) = _workload()
 
@@ -142,21 +145,21 @@ def test_kernels_vs_legacy_loops(benchmark):
     legacy_times["distance"], d_legacy = _best_of(3, lambda: _legacy_distance_per_hit(
         X_hits, hit_candidates, scale=scale, metric="l1"))
     kernel_times["distance"], d_kernel = _best_of(3, lambda: (
-        kernels.batch_counterfactual_distance(
+        batch_counterfactual_distance(
             X_hits, hit_candidates, scale=scale, metric="l1")))
     assert np.array_equal(d_legacy, d_kernel)
 
     # 2. Wave projection of the (pending, candidates, d) tensor.
     legacy_times["project"], p_legacy = _best_of(3, lambda: _legacy_project(
         x_wave, wave_candidates, **constraints))
-    kernel_times["project"], p_kernel = _best_of(3, lambda: kernels.project_candidates(
+    kernel_times["project"], p_kernel = _best_of(3, lambda: project_candidates(
         x_wave, wave_candidates, **constraints))
     assert np.array_equal(p_legacy, p_kernel)
 
     # 3 + 4. Greedy ranking and the prefix-revert trial chains.
     legacy_times["rank"], orders_legacy = _best_of(3, lambda: _legacy_rank_changed(
         X_sparse, sparse_candidates, scale))
-    kernel_times["rank"], orders_kernel = _best_of(3, lambda: kernels.rank_changed_features(
+    kernel_times["rank"], orders_kernel = _best_of(3, lambda: rank_changed_features(
         X_sparse, sparse_candidates, scale))
     assert all(np.array_equal(a, b) for a, b in zip(orders_legacy, orders_kernel))
 
@@ -173,7 +176,7 @@ def test_kernels_vs_legacy_loops(benchmark):
         for k, order in enumerate(orders):
             if not order:
                 continue
-            kernels.build_prefix_revert_trials(
+            build_prefix_revert_trials(
                 sparse_candidates[k], X_sparse[k], np.asarray(order),
                 out=out[offset:offset + len(order)])
             offset += len(order)
@@ -194,10 +197,10 @@ def test_kernels_vs_legacy_loops(benchmark):
 
     # One timed pass through the full kernel side for pytest-benchmark stats.
     benchmark.pedantic(lambda: (
-        kernels.batch_counterfactual_distance(X_hits, hit_candidates,
-                                              scale=scale, metric="l1"),
-        kernels.project_candidates(x_wave, wave_candidates, **constraints),
-        kernels.rank_changed_features(X_sparse, sparse_candidates, scale),
+        batch_counterfactual_distance(X_hits, hit_candidates,
+                                      scale=scale, metric="l1"),
+        project_candidates(x_wave, wave_candidates, **constraints),
+        rank_changed_features(X_sparse, sparse_candidates, scale),
         _kernel_prefix(),
     ), rounds=1, iterations=1)
 

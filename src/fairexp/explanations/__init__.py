@@ -45,15 +45,10 @@ from .backends import (
 )
 from .engine import BatchModelAdapter, CounterfactualEngine, generator_config, shard_indices
 from .kernels import (
-    KernelSet,
-    active_kernel_info,
     batch_counterfactual_distance,
     build_prefix_revert_trials,
-    numba_parallel_supported,
-    numba_threading_layer,
     project_candidates,
     rank_changed_features,
-    resolve_kernels,
 )
 from .pool import ExecutorPool, SharedExecutorPool
 from .serving import (
@@ -158,11 +153,6 @@ __all__ = [
     "Predicate",
     "discretize_features",
     "frequent_predicate_sets",
-    "KernelSet",
-    "resolve_kernels",
-    "active_kernel_info",
-    "numba_parallel_supported",
-    "numba_threading_layer",
     "batch_counterfactual_distance",
     "project_candidates",
     "build_prefix_revert_trials",

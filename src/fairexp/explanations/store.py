@@ -73,26 +73,17 @@ __all__ = [
     "population_fingerprint",
 ]
 
-#: Format version written into every new manifest.  Version 2 compresses
-#: payloads (``np.savez_compressed``); version 1 wrote them uncompressed.
+#: Format version written into every new manifest (version 2 compresses
+#: payloads with ``np.savez_compressed``).  A manifest of any other version
+#: is treated as corruption (recompute): every fingerprint folds the
+#: package's source digest, so an entry written by another build can never
+#: be addressed by this one anyway.
 STORE_FORMAT_VERSION = 2
 
-#: Manifest versions this build can still read.  ``np.load`` handles zipped
-#: and plain ``.npz`` members transparently, so version-1 (uncompressed)
-#: entries remain readable at the format layer; anything newer than
-#: :data:`STORE_FORMAT_VERSION` is treated as corruption (recompute).
-#: Note the honest scope of this guarantee: *addressability* of old entries
-#: is governed by the fingerprint, which folds the package's source digest —
-#: so entries written by a different build are usually retired by key
-#: rotation before read-compat ever matters.  The readable set exists so the
-#: payload encoding itself never has to be the thing that invalidates data.
-_READABLE_FORMAT_VERSIONS = frozenset({1, STORE_FORMAT_VERSION})
-
 #: Version folded into population fingerprints.  Separate from
-#: :data:`STORE_FORMAT_VERSION` on purpose: a payload-encoding-only change
-#: (v1 uncompressed → v2 compressed) keeps addressing the same entries —
-#: that is what makes the read-compat set above meaningful — whereas a
-#: *semantic* change to what a fingerprint covers must bump this one.
+#: :data:`STORE_FORMAT_VERSION` on purpose: the payload encoding and what a
+#: fingerprint covers change independently — a *semantic* change to what a
+#: fingerprint covers must bump this one.
 _FINGERPRINT_VERSION = 1
 
 #: What an entry's file stem looks like: a (possibly truncated) hex digest.
@@ -441,7 +432,12 @@ def _pack_results(results: dict[int, Counterfactual | None], n_features: int) ->
 
 
 def _unpack_results(payload) -> dict[int, Counterfactual | None]:
-    """Rebuild the per-row result mapping from a loaded ``.npz`` payload."""
+    """Rebuild the per-row result mapping from a payload's arrays.
+
+    ``payload`` maps member names to arrays (materialized once, not a lazy
+    ``NpzFile`` — indexing one of those per row would re-inflate the whole
+    member on every access).
+    """
     results: dict[int, Counterfactual | None] = {}
     indices = payload["indices"]
     has_result = payload["has_result"]
@@ -449,10 +445,7 @@ def _unpack_results(payload) -> dict[int, Counterfactual | None]:
         if not has_result[k]:
             results[int(index)] = None
             continue
-        # metas is absent from entries written before the field existed;
-        # missing-key errors surface as corruption -> recompute, so only the
-        # happy path is handled here.
-        meta = json.loads(str(payload["metas"][k])) if "metas" in payload else {}
+        meta = json.loads(str(payload["metas"][k]))
         results[int(index)] = Counterfactual(
             original=np.array(payload["originals"][k], dtype=float),
             counterfactual=np.array(payload["counterfactuals"][k], dtype=float),
@@ -644,7 +637,7 @@ class CounterfactualStore:
             return None  # no entry published (or it was concurrently evicted)
         try:
             manifest = json.loads(manifest_text)
-            if manifest["format_version"] not in _READABLE_FORMAT_VERSIONS:
+            if manifest["format_version"] != STORE_FORMAT_VERSION:
                 raise ValueError(f"format version {manifest['format_version']}")
             if manifest["fingerprint"] != fingerprint:
                 raise ValueError("fingerprint mismatch")
@@ -656,8 +649,11 @@ class CounterfactualStore:
             blob = payload_path.read_bytes()
             if hashlib.sha256(blob).hexdigest() != manifest["payload_sha256"]:
                 raise ValueError("payload checksum mismatch")
-            with np.load(payload_path) as payload:
-                results = _unpack_results(payload)
+            # Parse the checksummed bytes (not a second read of the file)
+            # and inflate each member exactly once before the row loop.
+            with np.load(io.BytesIO(blob)) as payload:
+                arrays = {name: payload[name] for name in payload.files}
+            results = _unpack_results(arrays)
             if len(results) != int(manifest["n_rows"]):
                 raise ValueError("row count mismatch")
         except (OSError, KeyError, ValueError, TypeError, IndexError):

@@ -269,19 +269,6 @@ class TestDefaultSpecsPruning:
         for cell in plan.pruned:
             assert cell.reasons
 
-    def test_numba_cells_gated_on_availability(self):
-        from fairexp.explanations.kernels import numba_version
-
-        plan = SweepRegistry.get("E1/E2").plan()
-        numba_cells = [cell for cell in plan.emitted
-                       if ("kernels", "numba") in cell.assignment]
-        if numba_version() is None:
-            assert not numba_cells
-            assert any(("kernels", "numba") in cell.assignment
-                       for cell in plan.pruned)
-        else:
-            assert numba_cells
-
 
 class TestJournal:
     def _cell(self):

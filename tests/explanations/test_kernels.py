@@ -1,51 +1,26 @@
-"""Bitwise-parity, dispatch and integration tests for the hot-path kernels.
+"""Bitwise-parity and integration tests for the hot-path kernels.
 
 The contract of :mod:`fairexp.explanations.kernels` is exactness: every
-kernel reproduces the pre-kernel loop implementations bit for bit, and the
-numba fast path (when installed) reproduces the NumPy reference bit for bit
-on the workload families of every experiment (E1–E9).  The pre-kernel loops
-are kept verbatim in this module as the parity oracle.
+kernel reproduces the pre-kernel loop implementations bit for bit.  The
+pre-kernel loops are kept verbatim in this module as the parity oracle.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
-from fairexp.datasets import make_adult_like, make_loan_dataset, make_scm_loan_dataset
+from fairexp.datasets import make_loan_dataset
 from fairexp.exceptions import ValidationError
 from fairexp.explanations import (
     ActionabilityConstraints,
-    AuditSession,
     CounterfactualEngine,
     GrowingSpheresCounterfactual,
-    KernelSet,
-    RandomSearchCounterfactual,
-    active_kernel_info,
     batch_counterfactual_distance,
     build_prefix_revert_trials,
     counterfactual_distance,
-    generator_config,
     project_candidates,
     rank_changed_features,
-    resolve_kernels,
-)
-from fairexp.explanations import kernels as kernels_module
-from fairexp.explanations.engine import _process_shard_spec
-from fairexp.explanations.kernels import (
-    _NUMBA_SET,
-    _NUMPY_SET,
-    NUMBA_MAX_REDUCE_FEATURES,
-    numba_version,
 )
 from fairexp.models import LogisticRegression
-
-HAVE_NUMBA = numba_version() is not None
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-
-KERNEL_SETS = [pytest.param(_NUMPY_SET, id="numpy"),
-               pytest.param(_NUMBA_SET, id="numba",
-                            marks=needs_numba)]
 
 
 # --------------------------------------------------------------------------
@@ -122,13 +97,12 @@ def rng():
 
 
 # --------------------------------------------------------------------------
-# Bitwise parity against the pre-kernel loops (both kernel sets).
+# Bitwise parity against the pre-kernel loops.
 # --------------------------------------------------------------------------
-@pytest.mark.parametrize("kernel_set", KERNEL_SETS)
 class TestLegacyParity:
     @pytest.mark.parametrize("metric", ["l1", "l2", "l0"])
     @pytest.mark.parametrize("use_scale", [False, True])
-    def test_distance_matches_scalar_loop(self, kernel_set, metric, use_scale, rng):
+    def test_distance_matches_scalar_loop(self, metric, use_scale, rng):
         X = rng.normal(size=(120, 7))
         candidates = X + rng.normal(size=X.shape) * rng.random(X.shape)
         scale = None
@@ -139,25 +113,25 @@ class TestLegacyParity:
             legacy_distance(x, c, scale=scale, metric=metric)
             for x, c in zip(X, candidates)
         ])
-        got = kernel_set.batch_counterfactual_distance(
+        got = batch_counterfactual_distance(
             X, candidates, scale=scale, metric=metric)
         assert got.dtype == np.float64
         assert np.array_equal(got, expected)
 
-    def test_distance_single_x_broadcast(self, kernel_set, rng):
+    def test_distance_single_x_broadcast(self, rng):
         x = rng.normal(size=5)
         candidates = x + rng.normal(size=(40, 5))
         expected = np.array([legacy_distance(x, c) for c in candidates])
         assert np.array_equal(
-            kernel_set.batch_counterfactual_distance(x, candidates), expected)
+            batch_counterfactual_distance(x, candidates), expected)
 
-    def test_distance_unknown_metric_raises(self, kernel_set, rng):
+    def test_distance_unknown_metric_raises(self, rng):
         with pytest.raises(ValidationError, match="unknown metric"):
-            kernel_set.batch_counterfactual_distance(
+            batch_counterfactual_distance(
                 np.zeros((2, 3)), np.ones((2, 3)), metric="linf")
 
     @pytest.mark.parametrize("shape", ["wave", "matrix", "aligned", "single"])
-    def test_project_matches_where_cascade(self, kernel_set, shape, rng):
+    def test_project_matches_where_cascade(self, shape, rng):
         d = 6
         constraints = _random_constraints(rng, d)
         if shape == "wave":  # the lockstep engine's (n, c, d) tensor
@@ -173,29 +147,29 @@ class TestLegacyParity:
             candidates = rng.normal(size=d) * 3
             x_original = rng.normal(size=d)
         expected = legacy_project(constraints, x_original, candidates)
-        got = kernel_set.project_candidates(
+        got = project_candidates(
             x_original, candidates, immutable=constraints.immutable,
             lower=constraints.lower, upper=constraints.upper,
             monotone=constraints.monotone)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
 
-    def test_prefix_trials_match_copy_chain(self, kernel_set, rng):
+    def test_prefix_trials_match_copy_chain(self, rng):
         for d in (1, 4, 9):
             x_row = rng.normal(size=d)
             candidate = x_row + rng.normal(size=d)
             order = rng.permutation(d)[: max(1, d - 1)]
             expected = legacy_prefix_trials(candidate, x_row, list(order))
-            got = kernel_set.build_prefix_revert_trials(candidate, x_row, order)
+            got = build_prefix_revert_trials(candidate, x_row, order)
             assert np.array_equal(got, expected)
             # and into a caller-provided slab
             out = np.empty((len(order), d))
-            returned = kernel_set.build_prefix_revert_trials(
+            returned = build_prefix_revert_trials(
                 candidate, x_row, order, out=out)
             assert returned is out
             assert np.array_equal(out, expected)
 
-    def test_rank_matches_per_row_loop(self, kernel_set, rng):
+    def test_rank_matches_per_row_loop(self, rng):
         X_rows = rng.normal(size=(30, 6))
         candidates = X_rows.copy()
         mask = rng.random(candidates.shape) < 0.6
@@ -205,28 +179,27 @@ class TestLegacyParity:
         X_rows[:, 3] = X_rows[:, 2]
         scale = rng.uniform(0.5, 2.0, size=6)
         expected = legacy_rank_changed(X_rows, candidates, scale)
-        got = kernel_set.rank_changed_features(X_rows, candidates, scale)
+        got = rank_changed_features(X_rows, candidates, scale)
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert np.array_equal(a, b)
 
 
 # --------------------------------------------------------------------------
-# Edge cases (both kernel sets).
+# Edge cases.
 # --------------------------------------------------------------------------
-@pytest.mark.parametrize("kernel_set", KERNEL_SETS)
 class TestEdgeCases:
-    def test_empty_candidate_set(self, kernel_set):
+    def test_empty_candidate_set(self):
         empty = np.empty((0, 4))
-        distances = kernel_set.batch_counterfactual_distance(np.zeros(4), empty)
+        distances = batch_counterfactual_distance(np.zeros(4), empty)
         assert distances.shape == (0,)
-        assert kernel_set.rank_changed_features(np.empty((0, 4)), empty,
+        assert rank_changed_features(np.empty((0, 4)), empty,
                                                 np.ones(4)) == []
-        trials = kernel_set.build_prefix_revert_trials(
+        trials = build_prefix_revert_trials(
             np.zeros(4), np.ones(4), np.array([], dtype=int))
         assert trials.shape == (0, 4)
 
-    def test_all_immutable_returns_originals(self, kernel_set, rng):
+    def test_all_immutable_returns_originals(self, rng):
         d = 5
         constraints = ActionabilityConstraints(
             immutable=np.ones(d, dtype=bool),
@@ -234,31 +207,31 @@ class TestEdgeCases:
             monotone=np.zeros(d, dtype=int))
         x = rng.normal(size=(4, 1, d))
         candidates = rng.normal(size=(4, 8, d))
-        projected = kernel_set.project_candidates(
+        projected = project_candidates(
             x, candidates, immutable=constraints.immutable,
             lower=constraints.lower, upper=constraints.upper,
             monotone=constraints.monotone)
         assert np.array_equal(projected, np.broadcast_to(x, candidates.shape))
 
-    def test_single_feature_rows(self, kernel_set, rng):
+    def test_single_feature_rows(self, rng):
         X = rng.normal(size=(10, 1))
         candidates = X + rng.normal(size=(10, 1))
         expected = np.array([legacy_distance(x, c) for x, c in zip(X, candidates)])
         assert np.array_equal(
-            kernel_set.batch_counterfactual_distance(X, candidates), expected)
-        orders = kernel_set.rank_changed_features(X, candidates, np.ones(1))
+            batch_counterfactual_distance(X, candidates), expected)
+        orders = rank_changed_features(X, candidates, np.ones(1))
         assert all(np.array_equal(o, np.array([0])) for o in orders)
 
-    def test_float32_inputs_upcast_to_float64(self, kernel_set, rng):
+    def test_float32_inputs_upcast_to_float64(self, rng):
         X32 = rng.normal(size=(12, 5)).astype(np.float32)
         C32 = (X32 + rng.normal(size=(12, 5)).astype(np.float32)).astype(np.float32)
-        got = kernel_set.batch_counterfactual_distance(X32, C32)
+        got = batch_counterfactual_distance(X32, C32)
         assert got.dtype == np.float64
         expected = np.array([
             legacy_distance(x, c) for x, c in zip(X32, C32)
         ])
         assert np.array_equal(got, expected)
-        projected = kernel_set.project_candidates(
+        projected = project_candidates(
             X32, C32, immutable=np.zeros(5, dtype=bool),
             lower=np.full(5, -0.5, dtype=np.float32),
             upper=np.full(5, 0.5, dtype=np.float32),
@@ -267,71 +240,7 @@ class TestEdgeCases:
 
 
 # --------------------------------------------------------------------------
-# Dispatch: env var, kernels= parameter, fallback, info.
-# --------------------------------------------------------------------------
-class TestDispatch:
-    def test_env_var_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv("FAIREXP_KERNELS", "numpy")
-        assert resolve_kernels(None).name == "numpy"
-
-    def test_explicit_choice_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("FAIREXP_KERNELS", "numba")
-        assert resolve_kernels("numpy") is _NUMPY_SET
-
-    def test_kernel_set_passes_through(self):
-        assert resolve_kernels(_NUMPY_SET) is _NUMPY_SET
-
-    def test_invalid_choice_raises(self, monkeypatch):
-        with pytest.raises(ValidationError, match="kernels must be one of"):
-            resolve_kernels("fortran")
-        monkeypatch.setenv("FAIREXP_KERNELS", "fortran")
-        with pytest.raises(ValidationError, match="kernels must be one of"):
-            resolve_kernels(None)
-
-    def test_auto_matches_numba_availability(self):
-        expected = "numba" if HAVE_NUMBA else "numpy"
-        assert resolve_kernels("auto").name == expected
-
-    def test_numba_absent_falls_back_with_warning(self, monkeypatch):
-        # Simulate a numba-less environment even when numba is installed.
-        monkeypatch.setitem(kernels_module._NUMBA_STATE, "kernels", False)
-        monkeypatch.setattr(kernels_module, "_warned_numba_missing", False)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert resolve_kernels("numba") is _NUMPY_SET
-        # the warning fires once, not per search
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_kernels("numba") is _NUMPY_SET
-        assert resolve_kernels("auto") is _NUMPY_SET
-
-    def test_active_kernel_info_fields(self):
-        info = active_kernel_info("numpy")
-        assert info == {"kernel_path": "numpy", "kernel_tier": "exact",
-                        "kernel_numba_version": "numpy"}
-        auto = active_kernel_info()
-        assert auto["kernel_path"] in ("numpy", "numba")
-        assert auto["kernel_tier"] == "exact"  # auto never picks turbo
-
-    def test_module_level_kernels_accept_choice(self, rng):
-        X = rng.normal(size=(6, 4))
-        candidates = X + 1.0
-        assert np.array_equal(
-            batch_counterfactual_distance(X, candidates, kernels="numpy"),
-            np.full(6, 4.0))
-        projected = project_candidates(
-            X, candidates, immutable=np.ones(4, dtype=bool),
-            lower=np.full(4, -np.inf), upper=np.full(4, np.inf),
-            monotone=np.zeros(4, dtype=int), kernels="numpy")
-        assert np.array_equal(projected, X)
-        trials = build_prefix_revert_trials(candidates[0], X[0],
-                                            np.array([2, 0]), kernels="numpy")
-        assert trials.shape == (2, 4)
-        orders = rank_changed_features(X, candidates, np.ones(4), kernels="numpy")
-        assert all(len(order) == 4 for order in orders)
-
-
-# --------------------------------------------------------------------------
-# Integration: counterfactual.py delegation, engine, session, shard specs.
+# Integration: counterfactual.py delegation and process-sharded search.
 # --------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def loan_workload():
@@ -362,79 +271,16 @@ class TestIntegration:
         got = constraints.project(rejected[:, None, :], candidates)
         assert np.array_equal(got, expected)
 
-    def test_kernels_choice_is_bitwise_invariant_end_to_end(self, loan_workload):
-        model, background, constraints, rejected = loan_workload
-        results = {}
-        for choice in (None, "numpy", "auto"):
-            generator = GrowingSpheresCounterfactual(
-                model, background, constraints=constraints, random_state=0)
-            engine = CounterfactualEngine(generator, kernels=choice)
-            results[choice] = engine.generate_aligned(rejected)
-        for choice in ("numpy", "auto"):
-            for a, b in zip(results[None], results[choice]):
-                if a is None or b is None:
-                    assert a is b
-                    continue
-                assert np.array_equal(a.counterfactual, b.counterfactual)
-                assert a.distance == b.distance
-
-    def test_generator_config_excludes_kernel_choice(self, loan_workload):
-        model, background, _, _ = loan_workload
-        plain = RandomSearchCounterfactual(model, background, random_state=0)
-        chosen = RandomSearchCounterfactual(model, background, random_state=0)
-        chosen.kernels = "numpy"
-        config_plain, config_chosen = generator_config(plain), generator_config(chosen)
-        assert "kernels" not in config_chosen
-        # values may be arrays / constraint dataclasses; repr equality is the
-        # same identity the store's fingerprint serialization sees
-        assert repr(config_plain) == repr(config_chosen)
-
-    def test_shard_spec_ships_resolved_kernel_name(self, loan_workload):
-        model, background, _, _ = loan_workload
-        generator = RandomSearchCounterfactual(model, background, random_state=0)
-        generator.kernels = "numpy"
-        spec = _process_shard_spec(generator)
-        assert spec is not None
-        assert spec["kernels"] == "numpy"
-        # unset choice ships the resolved process-wide default
-        plain = RandomSearchCounterfactual(model, background, random_state=0)
-        assert _process_shard_spec(plain)["kernels"] == resolve_kernels(None).name
-
-    def test_engine_kernel_path_and_validation(self, loan_workload):
-        model, background, _, _ = loan_workload
-        generator = RandomSearchCounterfactual(model, background, random_state=0)
-        engine = CounterfactualEngine(generator, kernels="numpy")
-        assert engine.kernel_path == "numpy"
-        with pytest.raises(ValidationError, match="kernels must be one of"):
-            CounterfactualEngine(
-                RandomSearchCounterfactual(model, background, random_state=0),
-                kernels="cuda")
-
-    def test_session_reports_kernel_path(self, loan_workload):
-        model, background, _, rejected = loan_workload
-        generator = RandomSearchCounterfactual(model, background, random_state=0)
-        with AuditSession(generator, kernels="numpy") as session:
-            session.counterfactuals_for(rejected, range(3))
-            assert session.stats()["kernel_path"] == "numpy"
-        with AuditSession(model=model) as session:
-            assert session.stats()["kernel_path"] == resolve_kernels(None).name
-
-    def test_model_only_session_rejects_kernels(self, loan_workload):
-        model, _, _, _ = loan_workload
-        with pytest.raises(ValidationError, match="kernels= requires a generator"):
-            AuditSession(model=model, kernels="numpy")
-
     def test_process_sharded_search_matches_sequential(self, loan_workload):
         model, background, constraints, rejected = loan_workload
         sequential = CounterfactualEngine(
             GrowingSpheresCounterfactual(model, background,
                                          constraints=constraints, random_state=0),
-            kernels="numpy",
         ).generate_aligned(rejected)
         sharded = CounterfactualEngine(
             GrowingSpheresCounterfactual(model, background,
                                          constraints=constraints, random_state=0),
-            n_jobs=2, executor="process", kernels="numpy",
+            n_jobs=2, executor="process",
         ).generate_aligned(rejected)
         for a, b in zip(sequential, sharded):
             if a is None or b is None:
@@ -442,104 +288,3 @@ class TestIntegration:
                 continue
             assert np.array_equal(a.counterfactual, b.counterfactual)
             assert a.distance == b.distance
-
-
-# --------------------------------------------------------------------------
-# numpy vs numba parity on every experiment family's workload (E1–E9).
-# --------------------------------------------------------------------------
-def _family_workload(family):
-    """Representative (X_rows, candidates, constraints, scale) per E-family."""
-    if family in ("E1", "E2", "E4", "E5", "E7", "E8"):  # loan-model experiments
-        dataset = make_loan_dataset(300, direct_bias=1.2, recourse_gap=1.0,
-                                    random_state=0)
-    elif family in ("E3", "E9"):  # adult-like proxy-bias experiments
-        dataset = make_adult_like(300, direct_bias=1.2, proxy_bias=0.9,
-                                  random_state=0)
-    else:  # E6: SCM loan recourse
-        dataset, _ = make_scm_loan_dataset(300, random_state=0)
-    constraints = ActionabilityConstraints.from_feature_specs(dataset.features)
-    rng = np.random.default_rng(sum(map(ord, family)))
-    X_rows = dataset.X[rng.permutation(dataset.n_samples)[:40]]
-    candidates = X_rows + rng.normal(size=X_rows.shape) * (rng.random(X_rows.shape) < 0.7)
-    scale = np.std(dataset.X, axis=0)
-    return X_rows, candidates, constraints, scale
-
-
-@needs_numba
-@pytest.mark.parametrize("family", [f"E{i}" for i in range(1, 10)])
-class TestNumbaParityPerFamily:
-    def test_all_kernels_bitwise_equal(self, family):
-        X_rows, candidates, constraints, scale = _family_workload(family)
-        for metric in ("l1", "l2", "l0"):
-            assert np.array_equal(
-                _NUMPY_SET.batch_counterfactual_distance(
-                    X_rows, candidates, scale=scale, metric=metric),
-                _NUMBA_SET.batch_counterfactual_distance(
-                    X_rows, candidates, scale=scale, metric=metric))
-        wave = candidates[:, None, :] + np.linspace(-1, 1, 8)[None, :, None]
-        assert np.array_equal(
-            _NUMPY_SET.project_candidates(
-                X_rows[:, None, :], wave, immutable=constraints.immutable,
-                lower=constraints.lower, upper=constraints.upper,
-                monotone=constraints.monotone),
-            _NUMBA_SET.project_candidates(
-                X_rows[:, None, :], wave, immutable=constraints.immutable,
-                lower=constraints.lower, upper=constraints.upper,
-                monotone=constraints.monotone))
-        numpy_orders = _NUMPY_SET.rank_changed_features(X_rows, candidates, scale)
-        numba_orders = _NUMBA_SET.rank_changed_features(X_rows, candidates, scale)
-        for a, b in zip(numpy_orders, numba_orders):
-            assert np.array_equal(a, b)
-        for k, order in enumerate(numpy_orders):
-            if not len(order):
-                continue
-            assert np.array_equal(
-                _NUMPY_SET.build_prefix_revert_trials(candidates[k], X_rows[k], order),
-                _NUMBA_SET.build_prefix_revert_trials(candidates[k], X_rows[k], order))
-
-    def test_search_results_bitwise_equal_across_kernel_sets(self, family):
-        X_rows, candidates, constraints, scale = _family_workload(family)
-        dataset_X = X_rows
-        y = (dataset_X[:, 0] > np.median(dataset_X[:, 0])).astype(int)
-        model = LogisticRegression(n_iter=400, random_state=0).fit(dataset_X, y)
-        rejected = dataset_X[model.predict(dataset_X) == 0][:6]
-        if rejected.shape[0] == 0:
-            pytest.skip("family workload produced no rejected rows")
-        results = {}
-        for choice in ("numpy", "numba"):
-            generator = GrowingSpheresCounterfactual(
-                model, dataset_X, constraints=constraints, random_state=0)
-            engine = CounterfactualEngine(generator, kernels=choice)
-            results[choice] = engine.generate_aligned(rejected)
-        for a, b in zip(results["numpy"], results["numba"]):
-            if a is None or b is None:
-                assert a is b
-                continue
-            assert np.array_equal(a.counterfactual, b.counterfactual)
-            assert a.distance == b.distance
-
-
-@needs_numba
-class TestNumbaSpecifics:
-    def test_wide_rows_defer_to_numpy_reduction(self, rng):
-        d = NUMBA_MAX_REDUCE_FEATURES + 5
-        X = rng.normal(size=(10, d))
-        candidates = X + rng.normal(size=(10, d))
-        expected = np.array([legacy_distance(x, c) for x, c in zip(X, candidates)])
-        assert np.array_equal(
-            _NUMBA_SET.batch_counterfactual_distance(X, candidates), expected)
-
-    def test_exotic_projection_shape_falls_back(self, rng):
-        # 4-D stacks are not hot-path shapes; numba defers to the reference.
-        candidates = rng.normal(size=(2, 3, 4, 5))
-        x = rng.normal(size=5)
-        constraints = _random_constraints(rng, 5)
-        assert np.array_equal(
-            _NUMBA_SET.project_candidates(
-                x, candidates, immutable=constraints.immutable,
-                lower=constraints.lower, upper=constraints.upper,
-                monotone=constraints.monotone),
-            _NUMPY_SET.project_candidates(
-                x, candidates, immutable=constraints.immutable,
-                lower=constraints.lower, upper=constraints.upper,
-                monotone=constraints.monotone))

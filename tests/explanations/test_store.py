@@ -6,6 +6,7 @@ miss, not an error), concurrent same-fingerprint writers (atomic publishes
 never interleave), and LRU eviction under the entry/byte bounds.
 """
 
+import io
 import json
 import os
 import subprocess
@@ -14,15 +15,21 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairexp.core import BurdenExplainer, NAWBExplainer
 from fairexp.datasets import make_loan_dataset
 from fairexp.explanations import (
     ActionabilityConstraints,
     AuditSession,
+    BatchModelAdapter,
     Counterfactual,
     CounterfactualStore,
     GrowingSpheresCounterfactual,
+    RemoteScoringBackend,
+    export_model,
     model_signature,
     population_fingerprint,
 )
@@ -460,6 +467,49 @@ class TestFingerprint:
         assert population_fingerprint(generator, subset.X) is None
 
 
+class TestRemoteBackendFingerprint:
+    def test_graph_routed_remote_backend_is_store_addressable(self, loan_workload):
+        _, train, subset, model, constraints = loan_workload
+        graph = export_model(model)
+
+        def fingerprint_at(url):
+            backend = RemoteScoringBackend(url, graph=graph)
+            adapted = BatchModelAdapter(model, backend=backend, cache=False)
+            return population_fingerprint(_generator(adapted, train, constraints),
+                                          subset.X)
+
+        # same graph behind two (never-contacted) endpoints: same identity
+        first = fingerprint_at("http://127.0.0.1:9001")
+        second = fingerprint_at("http://127.0.0.1:9002")
+        assert first is not None
+        assert first == second
+        # ...and distinct from the in-process dispatch over the same model
+        in_process = population_fingerprint(_generator(model, train, constraints),
+                                            subset.X)
+        assert first != in_process
+
+    def test_graphless_remote_backend_skips_the_store(self, loan_workload):
+        _, train, subset, model, constraints = loan_workload
+        backend = RemoteScoringBackend("http://127.0.0.1:9003")
+        adapted = BatchModelAdapter(model, backend=backend, cache=False)
+        generator = _generator(adapted, train, constraints)
+        assert population_fingerprint(generator, subset.X) is None
+
+    def test_different_graphs_key_apart(self, loan_workload):
+        _, train, subset, model, constraints = loan_workload
+        other = LogisticRegression(n_iter=400, random_state=3).fit(
+            train.X, (train.X[:, 0] > np.median(train.X[:, 0])).astype(int))
+
+        def fingerprint_for(graph_model):
+            backend = RemoteScoringBackend("http://127.0.0.1:9004",
+                                           graph=export_model(graph_model))
+            adapted = BatchModelAdapter(model, backend=backend, cache=False)
+            return population_fingerprint(_generator(adapted, train, constraints),
+                                          subset.X)
+
+        assert fingerprint_for(model) != fingerprint_for(other)
+
+
 class TestCorruptionFallback:
     def _store_with_entry(self, tmp_path):
         store = CounterfactualStore(tmp_path)
@@ -714,8 +764,6 @@ class TestCompressionAndFormatCompat:
         store.save("a" * 64, results, n_features=16)
         manifest = json.loads(store._manifest_path("a" * 64).read_text())
         assert manifest["format_version"] == STORE_FORMAT_VERSION == 2
-        import io
-
         packed = _pack_results(results, 16)
         uncompressed, compressed = io.BytesIO(), io.BytesIO()
         np.savez(uncompressed, **packed)
@@ -727,10 +775,11 @@ class TestCompressionAndFormatCompat:
         assert set(loaded) == set(results)
         assert np.array_equal(loaded[0].counterfactual, results[0].counterfactual)
 
-    def test_v1_uncompressed_entries_still_read(self, tmp_path):
-        """An entry published by a version-1 (uncompressed npz) build loads."""
+    def test_v1_manifest_is_a_miss_and_discarded(self, tmp_path):
+        """An entry published by a version-1 (uncompressed npz) build is a
+        miss — no build that folds this source digest could address it —
+        and its manifest is discarded like any other corrupt entry."""
         import hashlib
-        import io
 
         from fairexp.explanations.store import _pack_results
 
@@ -750,14 +799,12 @@ class TestCompressionAndFormatCompat:
             "n_features": 3,
             "updated_at": "2026-01-01T00:00:00+0000",
         }))
-        loaded = store.load("b" * 64)
-        assert loaded is not None
-        assert loaded[7] is None
-        assert np.array_equal(loaded[3].counterfactual, results[3].counterfactual)
+        assert store.load("b" * 64) is None
+        assert store.entries() == []
 
     def test_payload_encoding_bump_does_not_bust_fingerprints(self, loan_workload):
         """Fingerprints fold the fingerprint version, not the payload format
-        version — otherwise read-compat across the v1->v2 bump would be moot."""
+        version — the payload encoding can change without re-keying."""
         from fairexp.explanations import store as store_module
 
         dataset, train, subset, model, constraints = loan_workload
@@ -769,6 +816,106 @@ class TestCompressionAndFormatCompat:
             assert population_fingerprint(generator, subset.X) == before
         finally:
             store_module.STORE_FORMAT_VERSION = original
+
+
+class TestLinearWarmLoad:
+    def test_load_reads_each_payload_member_once(self, tmp_path, monkeypatch):
+        """A warm load inflates every ``.npz`` member once, not once per row
+        and field (indexing a lazy ``NpzFile`` re-reads the whole member on
+        every access, which made warm loads quadratic in the row count)."""
+        rng = np.random.default_rng(0)
+        results = {
+            i: Counterfactual(
+                original=rng.normal(size=6), counterfactual=rng.normal(size=6),
+                original_prediction=0, counterfactual_prediction=1,
+                changed_features=(1, 4), distance=float(i), meta={"row": i},
+            )
+            for i in range(2000)
+        }
+        reads = []
+        original_getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def counting_getitem(self, key):
+            reads.append(key)
+            return original_getitem(self, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting_getitem)
+        store = CounterfactualStore(tmp_path)
+        store.save("a" * 64, results, n_features=6)
+        loaded = store.load("a" * 64)
+        assert len(loaded) == 2000
+        assert loaded[1999].meta == {"row": 1999}
+        assert len(reads) <= 10  # the payload has 10 members
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False, allow_infinity=False) | st.text())
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _result_maps(draw):
+    """Row-index -> Counterfactual | None maps the store persists."""
+    n_features = draw(st.integers(1, 200))
+    indices = draw(st.lists(st.integers(0, 10_000), max_size=12, unique=True))
+    all_infeasible = draw(st.booleans())
+    floats = st.floats(allow_nan=False)
+    rows = hnp.arrays(np.float64, n_features, elements=floats)
+    results = {}
+    for index in indices:
+        if all_infeasible or draw(st.booleans()):
+            results[index] = None
+            continue
+        results[index] = Counterfactual(
+            original=draw(rows),
+            counterfactual=draw(rows),
+            original_prediction=draw(st.integers(-2**31, 2**31)),
+            counterfactual_prediction=draw(st.integers(-2**31, 2**31)),
+            changed_features=tuple(sorted(draw(st.sets(
+                st.integers(0, n_features - 1), max_size=min(n_features, 8))))),
+            distance=draw(floats),
+            feasible=draw(st.booleans()),
+            meta=draw(st.dictionaries(st.text(max_size=5), _JSON_VALUES, max_size=3)),
+        )
+    return results, n_features
+
+
+class TestPayloadRoundTripProperty:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_result_maps())
+    def test_every_field_round_trips_exactly(self, case):
+        from fairexp.explanations.store import _pack_results, _unpack_results
+
+        results, n_features = case
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **_pack_results(results, n_features))
+        buffer.seek(0)
+        with np.load(buffer) as payload:
+            loaded = _unpack_results({name: payload[name] for name in payload.files})
+        assert set(loaded) == set(results)
+        for index, expected in results.items():
+            actual = loaded[index]
+            if expected is None:
+                assert actual is None
+                continue
+            assert _bits(actual.original) == _bits(expected.original)
+            assert _bits(actual.counterfactual) == _bits(expected.counterfactual)
+            assert actual.original_prediction == expected.original_prediction
+            assert actual.counterfactual_prediction == expected.counterfactual_prediction
+            assert actual.changed_features == expected.changed_features
+            assert _bits(actual.distance) == _bits(expected.distance)
+            assert actual.feasible is expected.feasible
+            assert actual.meta == expected.meta
 
 
 class TestStoreMetrics:
