@@ -10,10 +10,10 @@ Three claims from the serving PR are asserted here:
 * **Accounting**: per-session predict-row accounting is untouched by the
   stacking — each coalescing session reports exactly the rows its
   independent twin reports, and the totals match;
-* **Shared pool**: the same 4 concurrent sessions on
-  ``pool="shared"`` with ``executor="process"`` construct exactly ONE
-  ``ProcessPoolExecutor`` between them (counted via an injected factory
-  double).
+* **Shared pool**: the same 4 concurrent sessions given one injected
+  :class:`~fairexp.explanations.ExecutorPool` with ``executor="process"``
+  construct exactly ONE ``ProcessPoolExecutor`` between them (counted via
+  an injected factory double).
 
 Everything runs against a real loopback HTTP scoring server over the
 exported compute graph — the identical serving path
@@ -170,12 +170,12 @@ class _CountingProcessFactory:
 
 
 def test_shared_pool_constructs_one_process_executor_across_sessions(benchmark):
-    """Four concurrent process-sharded sessions on pool="shared" build ONE
-    ProcessPoolExecutor between them — the shared-pool acceptance criterion."""
+    """Four concurrent process-sharded sessions given one injected pool
+    build ONE ProcessPoolExecutor between them — the shared-pool acceptance
+    criterion."""
     train, model, constraints, populations = _workload()
     factory = _CountingProcessFactory()
-    shared = ExecutorPool.shared(max_workers=2, process_factory=factory)
-    try:
+    with ExecutorPool(max_workers=2, process_factory=factory) as shared:
         reference = {}
         for k in range(N_SESSIONS):
             with AuditSession(_generator(train, model, constraints)) as session:
@@ -190,7 +190,7 @@ def test_shared_pool_constructs_one_process_executor_across_sessions(benchmark):
                 barrier.wait(timeout=30)
                 with AuditSession(_generator(train, model, constraints),
                                   n_jobs=2, executor="process",
-                                  pool="shared") as session:
+                                  pool=shared) as session:
                     outputs[k] = session.counterfactuals_for(
                         populations[k], np.arange(len(populations[k])))
 
@@ -209,9 +209,8 @@ def test_shared_pool_constructs_one_process_executor_across_sessions(benchmark):
             f"{N_SESSIONS} concurrent shared-pool sessions"
         )
         assert shared.created_counts["process"] == 1
-        # Session closes released their references; ours is the only holder
-        # left, and the workers are still alive for it.
-        assert shared.refcount == 1
+        # Session closes leave the injected pool's workers alive.
+        assert shared.active_kinds() == ["process"]
         for k in range(N_SESSIONS):
             assert set(outputs[k]) == set(reference[k])
             for i in reference[k]:
@@ -223,5 +222,3 @@ def test_shared_pool_constructs_one_process_executor_across_sessions(benchmark):
             "process_executors_created": factory.constructed,
             "shared_pool_workers": stats["workers"],
         }, experiment="SERVING_POOL")
-    finally:
-        shared.shutdown()

@@ -26,7 +26,7 @@ Five command families:
     followed by one ``<hash>  <source>`` line per hosted graph.
     ``fairexp serve --stats-url URL`` instead queries a *running* server's
     ``/stats`` endpoint and pretty-prints the global and per-graph
-    counters (requests, rows, sheds, coalescing factor, window).
+    counters (requests, rows, sheds, coalescing factor).
 
 ``python -m fairexp run EXPERIMENT [--backend {numpy,onnx,remote}]``
     Run one experiment (``E1/E2`` … ``E14``, ``FIG1``/``FIG2``/``TAB1``)
@@ -166,15 +166,13 @@ def _print_server_stats(url: str) -> int:
     graphs = stats.get("graphs", {})
     if graphs:
         print(f"{'GRAPH':<14} {'SOURCE':<24} {'REQS':>6} {'ROWS':>8} "
-              f"{'SHED':>5} {'COALESCE':>8} {'WINDOW':>8}")
+              f"{'SHED':>5} {'COALESCE':>8}")
         for key, entry in graphs.items():
             factor = entry.get("coalescing_factor")
-            window = entry.get("window")
             print(f"{key[:12]:<14} {str(entry.get('source', '?'))[:24]:<24} "
                   f"{entry.get('requests', 0):>6} {entry.get('rows', 0):>8} "
                   f"{entry.get('shed', 0):>5} "
-                  f"{'-' if factor is None else format(factor, '.2f'):>8} "
-                  f"{'-' if window is None else format(window, '.4f'):>8}")
+                  f"{'-' if factor is None else format(factor, '.2f'):>8}")
     return 0
 
 
@@ -456,7 +454,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "this are shed with 429 (default: unbounded)")
     serve_parser.add_argument("--stats-url", default=None,
                               help="query a RUNNING server's /stats and "
-                                   "pretty-print it instead of serving")
+                                   "pretty-print its per-graph requests, "
+                                   "rows, sheds and coalescing factor "
+                                   "instead of serving")
     serve_parser.set_defaults(func=_cmd_serve)
 
     run_parser = commands.add_parser(

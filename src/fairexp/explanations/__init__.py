@@ -50,7 +50,7 @@ from .kernels import (
     project_candidates,
     rank_changed_features,
 )
-from .pool import ExecutorPool, SharedExecutorPool
+from .pool import ExecutorPool
 from .serving import (
     CoalescingScoringClient,
     ComputeGraph,
@@ -125,7 +125,6 @@ __all__ = [
     "CallablePredictBackend",
     "MemoizingPredictBackend",
     "ensure_backend",
-    "SharedExecutorPool",
     "ComputeGraph",
     "export_model",
     "OnnxExportBackend",

@@ -29,10 +29,9 @@ the two real out-of-process backends the ROADMAP asks for:
   accounting is folded back into its own backend only after the dispatch
   succeeds — N concurrent sessions issue strictly fewer wire calls than N
   independent ones (asserted in ``benchmarks/test_bench_serving.py`` and
-  ``benchmarks/test_bench_serving_fleet.py``).  The window is either a
-  fixed number of seconds or ``"auto"``: an EWMA of observed
-  inter-arrival times per graph, clamped to configurable bounds, so a
-  busy lane dispatches quickly and a sparse one waits longer for peers.
+  ``benchmarks/test_bench_serving_fleet.py``).  The window is a fixed
+  number of seconds, and a lane's leader dispatches early once every
+  registered peer has a batch pending.
 
 Sustained overload degrades gracefully instead of queueing without bound:
 the server tracks its in-flight batch count and, past ``max_inflight``,
@@ -49,6 +48,7 @@ client sends.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import io
 import json
 import threading
@@ -420,7 +420,7 @@ def _decode_array(blob: bytes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Scoring server
 # ---------------------------------------------------------------------------
-@guard_counters("request_count", "row_count", "shed_count", "pool_shed_count",
+@guard_counters("request_count", "row_count", "shed_count",
                 "peak_inflight", "_inflight")
 class ScoringServer:
     """Loopback HTTP scoring server hosting a fleet of scorers.
@@ -428,11 +428,10 @@ class ScoringServer:
     ``POST /score`` takes a raw ``.npy`` matrix and answers with a raw
     ``.npy`` label vector; ``GET /healthz`` answers ``ok``; ``GET /stats``
     reports the JSON from :meth:`stats` — global and per-graph request/row
-    counters, shed counts, the last client-reported window per graph and
-    the server-side coalescing factor.  The server binds loopback only
-    (scoring audits is not an internet service) and runs its request loop
-    on a daemon thread; it is a context manager, and :meth:`close` is
-    idempotent and thread-safe.
+    counters, shed counts and the server-side coalescing factor.  The
+    server binds loopback only (scoring audits is not an internet service)
+    and runs its request loop on a daemon thread; it is a context manager,
+    and :meth:`close` is idempotent and thread-safe.
 
     **Fleet routing.**  ``scorer`` may be a single scorer, a list of
     :class:`ComputeGraph`\\ s, or a ``{key: scorer}`` mapping: every scorer
@@ -448,20 +447,7 @@ class ScoringServer:
     client's bounded retry-with-backoff (see
     :class:`CoalescingScoringClient`) turns sustained overload into higher
     latency rather than unbounded server memory growth.  ``None`` (the
-    default) disables shedding.
-
-    With ``pool=`` (an :class:`~fairexp.explanations.pool.ExecutorPool`)
-    scorer evaluation runs on the pool's thread executor instead of the
-    request thread, so busy-worker / queue-depth numbers show up in the
-    pool's (and this server's) stats.  ``max_pending`` then adds a second
-    shed condition on the pool itself: a batch is refused (same fast 429)
-    whenever the attached pool's thread queue depth
-    (:meth:`ExecutorPool.pending`) has reached the bound — the in-flight
-    gauge counts batches *this server* admitted, while ``pending()`` sees
-    the whole queue, including work other holders of a shared pool
-    submitted, so a saturated scorer pool sheds even when few requests are
-    formally in flight.  Pool-depth sheds are booked separately as
-    ``pool_shed`` in :meth:`stats`.
+    default) disables shedding.  Scorers run on the request thread.
 
     ``python -m fairexp serve --graph a.npz --graph b.npz`` wraps this
     class around :class:`ComputeGraph` archives, which is how a scoring
@@ -470,21 +456,13 @@ class ScoringServer:
     """
 
     def __init__(self, scorer, *, host: str = "127.0.0.1", port: int = 0,
-                 max_inflight: int | None = None, max_pending: int | None = None,
-                 retry_after: float = 0.05, pool=None) -> None:
-        if max_pending is not None and pool is None:
-            raise ValidationError(
-                "max_pending= bounds the attached pool's queue depth; "
-                "it requires pool="
-            )
+                 max_inflight: int | None = None,
+                 retry_after: float = 0.05) -> None:
         self.max_inflight = None if max_inflight is None else int(max_inflight)
-        self.max_pending = None if max_pending is None else int(max_pending)
         self.retry_after = float(retry_after)
-        self.pool = pool
         self.request_count = 0
         self.row_count = 0
         self.shed_count = 0
-        self.pool_shed_count = 0
         self.peak_inflight = 0
         self._inflight = 0
         self._scorers: dict[str, object] = {}
@@ -564,15 +542,12 @@ class ScoringServer:
                     try:
                         length = int(self.headers.get("Content-Length", "0"))
                         X = _decode_array(self.rfile.read(length))
-                        labels = np.asarray(server._score(key, X))
+                        labels = np.asarray(server._scorers[key](X))
                     except Exception as error:  # noqa: BLE001 - wire boundary
                         self._reply(400, str(error).encode(), "text/plain")
                         return
-                    server._count(
-                        key, int(np.atleast_2d(X).shape[0]),
-                        self.headers.get("X-Fairexp-Batches"),
-                        self.headers.get("X-Fairexp-Window"),
-                    )
+                    server._count(key, int(np.atleast_2d(X).shape[0]),
+                                  self.headers.get("X-Fairexp-Batches"))
                 finally:
                     server._leave()
                 self._reply(200, _encode_array(labels))
@@ -607,8 +582,7 @@ class ScoringServer:
             self._sources[key] = str(getattr(scorer, "source",
                                              type(scorer).__name__))
             self._graph_stats.setdefault(key, {
-                "requests": 0, "rows": 0, "shed": 0,
-                "client_batches": 0, "window": None,
+                "requests": 0, "rows": 0, "shed": 0, "client_batches": 0,
             })
         return key
 
@@ -634,21 +608,11 @@ class ScoringServer:
 
     # -------------------------------------------------------------- admission
     def _admit(self, key: str) -> bool:
-        """Admit one batch, or count a shed when a saturation bound is hit.
-
-        Two independent bounds: ``max_inflight`` on this server's own
-        admitted-batch gauge, and ``max_pending`` on the attached pool's
-        thread queue depth — the latter sees submissions from *every*
-        holder of a shared pool, so scorer-pool saturation sheds load even
-        when this server's in-flight count is low.
-        """
+        """Admit one batch, or count a shed when ``max_inflight`` admitted
+        batches are already in flight."""
         with self._lock:
             if (self.max_inflight is not None
                     and self._inflight >= self.max_inflight):
-                return self._shed_locked(key)
-            if (self.max_pending is not None and self.pool is not None
-                    and self.pool.pending("thread") >= self.max_pending):
-                self.pool_shed_count += 1
                 return self._shed_locked(key)
             self._inflight += 1
             self.peak_inflight = max(self.peak_inflight, self._inflight)
@@ -666,24 +630,13 @@ class ScoringServer:
         with self._lock:
             self._inflight -= 1
 
-    def _score(self, key: str, X: np.ndarray) -> np.ndarray:
-        scorer = self._scorers[key]
-        if self.pool is not None:
-            return self.pool.map("thread", scorer, [X])[0]
-        return scorer(X)
-
-    def _count(self, key: str, rows: int, batches_header: str | None,
-               window_header: str | None) -> None:
+    def _count(self, key: str, rows: int, batches_header: str | None) -> None:
         """Fold one successfully scored batch into the global and per-graph
-        counters (client-reported coalesced-batch count and window along)."""
+        counters (the client-reported coalesced-batch count along)."""
         try:
             batches = max(1, int(batches_header or "1"))
         except ValueError:
             batches = 1
-        try:
-            window = None if window_header is None else float(window_header)
-        except ValueError:
-            window = None
         with self._lock:
             self.request_count += 1
             self.row_count += rows
@@ -691,8 +644,6 @@ class ScoringServer:
             stats["requests"] += 1
             stats["rows"] += rows
             stats["client_batches"] += batches
-            if window is not None:
-                stats["window"] = window
 
     def stats(self) -> dict:
         """Global and per-graph serving counters (the ``/stats`` payload).
@@ -700,13 +651,10 @@ class ScoringServer:
         Per graph: ``requests`` / ``rows`` (successful wire batches and
         their rows), ``shed`` (batches refused at the admission limit),
         ``client_batches`` (caller batches the clients coalesced into those
-        requests), the derived ``coalescing_factor`` and the last
-        client-reported dispatch ``window``.  Globals keep the legacy
-        ``requests`` / ``rows`` names, plus ``shed`` (every refusal),
-        ``pool_shed`` (the subset refused on attached-pool queue depth),
-        ``inflight`` / ``peak_inflight`` and the configured
-        ``max_inflight`` / ``max_pending``.  With an attached pool, its
-        per-kind utilization rides along under ``pool``.
+        requests) and the derived ``coalescing_factor``.  Globals keep the
+        legacy ``requests`` / ``rows`` names, plus ``shed`` (every
+        refusal), ``inflight`` / ``peak_inflight`` and the configured
+        ``max_inflight``.
         """
         with self._lock:
             graphs = {}
@@ -718,20 +666,15 @@ class ScoringServer:
                     if entry["requests"] else None
                 )
                 graphs[key] = entry
-            payload = {
+            return {
                 "requests": self.request_count,
                 "rows": self.row_count,
                 "shed": self.shed_count,
-                "pool_shed": self.pool_shed_count,
                 "inflight": self._inflight,
                 "peak_inflight": self.peak_inflight,
                 "max_inflight": self.max_inflight,
-                "max_pending": self.max_pending,
                 "graphs": graphs,
             }
-        if self.pool is not None:
-            payload["pool"] = self.pool.stats()
-        return payload
 
     # -------------------------------------------------------------- lifecycle
     @property
@@ -794,8 +737,7 @@ def serve_model(model, *, host: str = "127.0.0.1", port: int = 0,
 
 
 def serve_fleet(models_or_graphs, *, host: str = "127.0.0.1", port: int = 0,
-                max_inflight: int | None = None, max_pending: int | None = None,
-                pool=None) -> ScoringServer:
+                max_inflight: int | None = None) -> ScoringServer:
     """Start one loopback :class:`ScoringServer` hosting a whole model fleet.
 
     Each element of ``models_or_graphs`` is a fitted model (compiled via
@@ -806,8 +748,7 @@ def serve_fleet(models_or_graphs, *, host: str = "127.0.0.1", port: int = 0,
     graphs = [graph if isinstance(graph, ComputeGraph) else export_model(graph)
               for graph in models_or_graphs]
     return ScoringServer(graphs, host=host, port=port,
-                         max_inflight=max_inflight, max_pending=max_pending,
-                         pool=pool)
+                         max_inflight=max_inflight)
 
 
 # ---------------------------------------------------------------------------
@@ -844,26 +785,21 @@ def _retry_backoff_sleep(delay: float) -> None:
 
 
 class _Lane:
-    """One graph's dispatch lane: pending batches, leadership and window.
+    """One graph's dispatch lane: pending batches and leadership.
 
     Coalescing is per graph — batches bound for different graphs can never
-    share a wire call — so every piece of window state (pending queue,
-    leader flag, registered-peer count, EWMA inter-arrival estimate and the
-    current window) lives on the lane, keyed by the graph's routing hash
-    (``None`` for the header-less single-graph wire shape).
+    share a wire call — so the dispatch state (pending queue, leader flag,
+    registered-peer count) lives on the lane, keyed by the graph's routing
+    hash (``None`` for the header-less single-graph wire shape).
     """
 
-    __slots__ = ("key", "pending", "leader_active", "registered",
-                 "window", "ewma_interval", "last_arrival")
+    __slots__ = ("key", "pending", "leader_active", "registered")
 
-    def __init__(self, key: str | None, window: float) -> None:
+    def __init__(self, key: str | None) -> None:
         self.key = key
         self.pending: list[_PendingScore] = []
         self.leader_active = False
         self.registered = 0
-        self.window = window
-        self.ewma_interval: float | None = None
-        self.last_arrival: float | None = None
 
 
 @guard_counters("wire_call_count", "wire_row_count", "coalesced_count",
@@ -896,18 +832,9 @@ class CoalescingScoringClient:
         Base URL of a :class:`ScoringServer` (``http://127.0.0.1:PORT``).
     window:
         Seconds a lane's leader waits for peers before dispatching.  ``0``
-        disables coalescing (every batch is its own wire call); a positive
-        float is a fixed window (bit-compatible with earlier releases);
-        ``"auto"`` sizes each lane's window dynamically from an EWMA of
-        that lane's observed inter-arrival times — ``window_gain`` times
-        the EWMA, clamped to ``window_bounds`` — so a busy lane dispatches
-        quickly and a sparse one waits longer for peers.
+        disables coalescing (every batch is its own wire call).
     timeout:
         Socket timeout for the wire call.
-    window_bounds, ewma_alpha, window_gain:
-        Dynamic-window tuning: the ``(min, max)`` clamp, the EWMA smoothing
-        factor, and the multiple of the mean inter-arrival time the window
-        targets.  Ignored for fixed windows.
     max_retries, backoff:
         Shed handling: how many times a shed batch is re-dispatched, and
         the base backoff delay (doubled per attempt; the server's
@@ -925,17 +852,11 @@ class CoalescingScoringClient:
         them.
     """
 
-    def __init__(self, url: str, *, window=0.02, timeout: float = 30.0,
-                 window_bounds: tuple = (0.002, 0.25),
-                 ewma_alpha: float = 0.25, window_gain: float = 4.0,
+    def __init__(self, url: str, *, window: float = 0.02, timeout: float = 30.0,
                  max_retries: int = 8, backoff: float = 0.05) -> None:
         self.url = url.rstrip("/")
-        self.dynamic_window = window == "auto"
-        self.window = window if self.dynamic_window else float(window)
+        self.window = float(window)
         self.timeout = float(timeout)
-        self.window_bounds = (float(window_bounds[0]), float(window_bounds[1]))
-        self.ewma_alpha = float(ewma_alpha)
-        self.window_gain = float(window_gain)
         self.max_retries = int(max_retries)
         self.backoff = float(backoff)
         self.wire_call_count = 0
@@ -961,8 +882,7 @@ class CoalescingScoringClient:
     def _lane_locked(self, key: str | None) -> _Lane:
         lane = self._lanes.get(key)
         if lane is None:
-            initial = self.window_bounds[1] if self.dynamic_window else self.window
-            lane = _Lane(key, initial)
+            lane = _Lane(key)
             self._lanes[key] = lane
         return lane
 
@@ -971,25 +891,6 @@ class CoalescingScoringClient:
         """Registered callers across every lane."""
         with self._cond:
             return sum(lane.registered for lane in self._lanes.values())
-
-    def current_window(self, graph=None) -> float:
-        """The dispatch window a graph's lane would use right now."""
-        with self._cond:
-            return self._lane_locked(self._lane_key(graph)).window
-
-    def lane_stats(self) -> dict:
-        """Per-lane window state: registered peers, current window and the
-        EWMA inter-arrival estimate driving it (``""`` keys the default
-        lane)."""
-        with self._cond:
-            return {
-                lane.key or "": {
-                    "registered": lane.registered,
-                    "window": lane.window,
-                    "ewma_interval": lane.ewma_interval,
-                }
-                for lane in self._lanes.values()
-            }
 
     # ----------------------------------------------------------- registration
     def register(self, graph=None) -> None:
@@ -1017,7 +918,6 @@ class CoalescingScoringClient:
         request = _PendingScore(np.atleast_2d(np.asarray(X, dtype=float)))
         with self._cond:
             lane = self._lane_locked(self._lane_key(graph))
-            self._observe_arrival(lane)
             lane.pending.append(request)
             self._cond.notify_all()
             lead = not lane.leader_active
@@ -1030,34 +930,14 @@ class CoalescingScoringClient:
             raise request.error
         return request.result
 
-    def _observe_arrival(self, lane: _Lane) -> None:
-        """Fold one batch arrival into the lane's EWMA inter-arrival
-        estimate and (for ``window="auto"``) resize its window (caller
-        holds the lock)."""
-        now = time.monotonic()
-        if lane.last_arrival is not None:
-            delta = now - lane.last_arrival
-            if lane.ewma_interval is None:
-                lane.ewma_interval = delta
-            else:
-                lane.ewma_interval = (self.ewma_alpha * delta
-                                      + (1.0 - self.ewma_alpha) * lane.ewma_interval)
-            if self.dynamic_window:
-                low, high = self.window_bounds
-                lane.window = min(high, max(low,
-                                            self.window_gain * lane.ewma_interval))
-        lane.last_arrival = now
-
     def _lead_dispatch(self, lane: _Lane) -> None:
         """Run one dispatch window on a lane: wait for peers, flush."""
-        start = time.monotonic()
+        deadline = time.monotonic() + self.window
         with self._cond:
             while True:
                 enough = (lane.registered > 0
                           and len(lane.pending) >= lane.registered)
-                # Re-read the window every pass: a dynamic lane may shrink
-                # (or grow) while the leader waits.
-                remaining = start + lane.window - time.monotonic()
+                remaining = deadline - time.monotonic()
                 if enough or remaining <= 0:
                     break
                 self._cond.wait(timeout=remaining)
@@ -1119,11 +999,9 @@ class CoalescingScoringClient:
     def _wire_call(self, X: np.ndarray, lane: _Lane, n_batches: int) -> np.ndarray:
         headers = {
             "Content-Type": "application/octet-stream",
-            # The server folds these into its per-graph /stats: how many
-            # caller batches this wire call coalesces, and the window the
-            # lane is currently running.
+            # The server folds this into its per-graph /stats: how many
+            # caller batches this wire call coalesces.
             "X-Fairexp-Batches": str(n_batches),
-            "X-Fairexp-Window": f"{lane.window:.6f}",
         }
         if lane.key is not None:
             headers["X-Fairexp-Graph"] = lane.key
@@ -1151,6 +1029,15 @@ class CoalescingScoringClient:
             # a raw socket error — callers see a clean backend failure.
             raise ValidationError(
                 f"scoring server unreachable at {self.url}: {error.reason}"
+            ) from error
+        except (http.client.HTTPException, OSError, EOFError, ValueError) as error:
+            # A fault after the status line — a truncated body, a reset
+            # socket, a body that is not a plain .npy array — is just as
+            # much a failed dispatch: every coalesced caller sees one clean
+            # backend error and nothing is counted.
+            raise ValidationError(
+                f"scoring server at {self.url} sent a broken response: "
+                f"{type(error).__name__}: {error}"
             ) from error
 
 
@@ -1183,7 +1070,7 @@ class RemoteScoringBackend(NumpyPredictBackend):
     ships_fn_to_workers = False  # the client's locks must not cross processes
 
     def __init__(self, url_or_client, *, name: str = "remote", graph=None,
-                 window=0.02, timeout: float = 30.0,
+                 window: float = 0.02, timeout: float = 30.0,
                  max_retries: int = 8, backoff: float = 0.05) -> None:
         if isinstance(url_or_client, CoalescingScoringClient):
             client = url_or_client

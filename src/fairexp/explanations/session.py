@@ -98,13 +98,11 @@ class AuditSession:
         as a context manager (or call :meth:`close`) to tear workers down
         deterministically.  A sweep with ``executor="process"`` thereby
         constructs exactly one ``ProcessPoolExecutor``, reused across all
-        audits, instead of one per engine call.  The string ``"shared"``
-        acquires the process-wide refcounted pool instead
-        (:meth:`ExecutorPool.shared`): concurrent sessions of one process
-        then share a single set of workers — N process-sharded sessions
-        construct exactly one ``ProcessPoolExecutor`` between them — and
-        each session's :meth:`close` releases its reference, the last one
-        stopping the workers.
+        audits, instead of one per engine call.  An injected pool is shared,
+        not owned: concurrent sessions given the same pool run on one set
+        of workers — N process-sharded sessions construct exactly one
+        ``ProcessPoolExecutor`` between them — and the pool's creator shuts
+        it down.
     store:
         A :class:`~fairexp.explanations.store.CounterfactualStore` (or a
         directory path coerced into one) persisting each population's
@@ -162,10 +160,7 @@ class AuditSession:
         # engine pass of the sweep reuses its workers, and close() (or the
         # context-manager exit) shuts them down deterministically.  An
         # injected pool is shared, not owned — its creator shuts it down.
-        # pool="shared" acquires a reference on the process-wide refcounted
-        # pool; the session "owns" (and on close releases) that reference,
-        # while the workers live until the last concurrent holder releases.
-        self._owns_pool = pool is None or pool == "shared"
+        self._owns_pool = pool is None
         self.pool = ExecutorPool.ensure(pool)
         self._closed = False
         try:
@@ -173,9 +168,8 @@ class AuditSession:
                               schedule, cache_predictions)
         except BaseException:
             # A validation failure below must not leak the pool this
-            # half-built session would have owned — in particular a
-            # pool="shared" acquisition, whose reference nobody could ever
-            # release (the caller never receives the session to close()).
+            # half-built session would have owned (the caller never
+            # receives the session to close()).
             if self._owns_pool:
                 self.pool.shutdown()
             raise

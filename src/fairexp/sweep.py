@@ -22,12 +22,12 @@ elsewhere in the package instead of re-implementing them:
   carries the reasons it was dropped — nothing disappears silently.
 * **Execution** — :func:`run_sweep` executes emitted cells sequentially
   or over an :class:`~fairexp.explanations.pool.ExecutorPool` (``jobs >
-  1``; pass ``pool="shared"`` for the process-wide refcounted pool).
-  Cells whose runner takes a ``backend`` factor level of ``"remote"``
-  score against a loopback fleet server exactly like ``python -m fairexp
-  serve``.  Every :class:`~fairexp.explanations.session.AuditSession` a
-  cell builds registers itself with the sweep (see :func:`track_session`),
-  so each :class:`CellResult` carries uniform accounting — wall time,
+  1``).  Cells whose runner takes a ``backend`` factor level of
+  ``"remote"`` score against a loopback fleet server exactly like
+  ``python -m fairexp serve``.  Every
+  :class:`~fairexp.explanations.session.AuditSession` a cell builds
+  registers itself with the sweep (see :func:`track_session`), so each
+  :class:`CellResult` carries uniform accounting — wall time,
   predict calls, engine predict calls, store row hits, pool gauges —
   regardless of which runner produced it.
 * **Resume** — with a persistent
@@ -814,7 +814,7 @@ def sweep_plan(specs=None, *, where=None, overrides=None) -> SweepPlan:
 
 
 def run_sweep(specs=None, *, where=None, overrides=None, store=None,
-              journal=None, resume: bool = False, jobs: int = 1, pool=None,
+              journal=None, resume: bool = False, jobs: int = 1,
               on_cell: Callable[[CellResult, int, int], None] | None = None
               ) -> SweepResult:
     """Plan and execute a sweep; returns the full :class:`SweepResult`.
@@ -838,11 +838,10 @@ def run_sweep(specs=None, *, where=None, overrides=None, store=None,
         engine predict calls — and their metric (non-accounting) results
         are verified against the journal; a mismatch marks the cell
         ``"diverged"``.  Cells not journaled run normally.
-    jobs, pool:
-        ``jobs > 1`` distributes cells over an
-        :class:`~fairexp.explanations.pool.ExecutorPool`'s thread executor
-        (``pool="shared"`` uses the process-wide refcounted pool; a pool
-        instance is used as-is and left running for its owner).
+    jobs:
+        ``jobs > 1`` distributes cells over a private
+        :class:`~fairexp.explanations.pool.ExecutorPool`'s thread executor,
+        shut down when the sweep returns.
     on_cell:
         Callback ``(cell_result, n_done, n_total)`` after every completed
         cell — progress reporting, or crash-injection in tests.
@@ -894,14 +893,8 @@ def run_sweep(specs=None, *, where=None, overrides=None, store=None,
         return result
 
     if jobs > 1 and total > 1:
-        owns_pool = pool is None or pool == "shared"
-        executor_pool = (ExecutorPool(max_workers=jobs) if pool is None
-                         else ExecutorPool.ensure(pool))
-        try:
+        with ExecutorPool(max_workers=jobs) as executor_pool:
             cells = executor_pool.map("thread", run_one, plan.emitted)
-        finally:
-            if owns_pool:
-                executor_pool.shutdown()
     else:
         cells = [run_one(cell) for cell in plan.emitted]
 

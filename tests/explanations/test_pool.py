@@ -180,6 +180,62 @@ class TestSessionPooling:
             assert session.pool.active_kinds() == []
             assert session.pool.created_counts == {"thread": 0, "process": 0}
 
+    def test_concurrent_sessions_share_one_injected_pool(self, workload):
+        """Four concurrent sessions given one injected pool construct ONE
+        thread executor between them, with outputs bitwise-equal to private
+        sequential sessions; every session's close() leaves the pool alive."""
+        import threading
+
+        train, model, constraints, rejected = workload
+        populations = [rejected + 0.1 * k for k in range(4)]
+        reference = []
+        for population in populations:
+            with AuditSession(_generator(train, model, constraints)) as session:
+                reference.append(session.counterfactuals_for(population,
+                                                             np.arange(4)))
+        factory = _CountingFactory(ThreadPoolExecutor)
+        outputs: list = [None] * 4
+        barrier = threading.Barrier(4)
+        with ExecutorPool(max_workers=2, thread_factory=factory) as shared:
+            def run(k):
+                barrier.wait(timeout=30)
+                with AuditSession(_generator(train, model, constraints),
+                                  n_jobs=2, pool=shared) as session:
+                    assert session.pool is shared
+                    outputs[k] = session.counterfactuals_for(populations[k],
+                                                             np.arange(4))
+
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert factory.constructed == 1
+            shared.executor("thread").submit(lambda: None).result()
+        for k in range(4):
+            assert set(outputs[k]) == set(reference[k])
+            for i in reference[k]:
+                assert np.array_equal(outputs[k][i].counterfactual,
+                                      reference[k][i].counterfactual)
+
+    def test_failed_session_construction_closes_its_pool(self, loan_model,
+                                                         monkeypatch):
+        """A session whose __init__ raises after creating its own pool shuts
+        that pool down: the caller never receives the session to close()."""
+        built = []
+
+        def recording_ensure(pool):
+            built.append(ExecutorPool())
+            return built[-1]
+
+        monkeypatch.setattr(ExecutorPool, "ensure", staticmethod(recording_ensure))
+        with pytest.raises(ValidationError):
+            # schedule= without a generator is rejected after pool creation.
+            AuditSession(model=loan_model, schedule="adaptive")
+        assert len(built) == 1
+        with pytest.raises(ValidationError, match="closed"):
+            built[0].executor("thread")
+
 
 class TestPoolInstrumentation:
     def test_stats_report_busy_workers_and_queue_depth(self):
@@ -213,9 +269,9 @@ class TestPoolInstrumentation:
             assert drained["busy_workers"] == 0 and drained["queue_depth"] == 0
 
     def test_pending_gauge_and_peak_high_water_mark(self):
-        """pending() is the instantaneous admission-control gauge;
-        peak_pending in stats() keeps the lifetime high-water mark after
-        the load drains."""
+        """busy_workers + queue_depth in stats() is the instantaneous pending
+        gauge; peak_pending keeps the lifetime high-water mark after the
+        load drains."""
         import threading
         import time
 
@@ -225,20 +281,22 @@ class TestPoolInstrumentation:
             release.wait(timeout=10)
             return True
 
+        def pending(pool):
+            stats = pool.stats()["thread"]
+            return stats["busy_workers"] + stats["queue_depth"]
+
         with ExecutorPool(max_workers=2) as pool:
-            assert pool.pending("thread") == 0      # no live executor yet
-            with pytest.raises(ValidationError, match="executor kind"):
-                pool.pending("tractor")
+            assert pending(pool) == 0               # no live executor yet
             runner = threading.Thread(
                 target=lambda: pool.map("thread", blocked_task, range(4)))
             runner.start()
             deadline = time.monotonic() + 5
-            while time.monotonic() < deadline and pool.pending("thread") < 4:
+            while time.monotonic() < deadline and pending(pool) < 4:
                 time.sleep(0.01)
-            assert pool.pending("thread") == 4
+            assert pending(pool) == 4
             release.set()
             runner.join(timeout=10)
-            assert pool.pending("thread") == 0
+            assert pending(pool) == 0
             assert pool.stats()["thread"]["peak_pending"] == 4
 
     def test_map_preserves_order_and_raises_first_error(self):
@@ -310,87 +368,3 @@ class TestPoolInstrumentation:
             assert not thread.is_alive(), "stress thread deadlocked"
         assert errors == []
 
-
-class TestSharedExecutorPool:
-    def test_shared_is_refcounted_singleton(self):
-        from fairexp.explanations import SharedExecutorPool
-
-        first = ExecutorPool.shared(max_workers=1)
-        try:
-            assert isinstance(first, SharedExecutorPool)
-            second = ExecutorPool.shared()
-            assert second is first
-            assert first.refcount == 2
-            first.executor("thread")
-            second.shutdown()               # one release: still alive
-            assert first.refcount == 1
-            first.executor("thread").submit(lambda: None).result()
-        finally:
-            first.shutdown()                # last release: workers stop
-        with pytest.raises(ValidationError):
-            first.executor("thread")
-        fresh = ExecutorPool.shared(max_workers=1)  # next acquisition: new pool
-        try:
-            assert fresh is not first
-        finally:
-            fresh.shutdown()
-
-    def test_shared_rejects_reconfiguration_while_alive(self):
-        pool = ExecutorPool.shared(max_workers=1)
-        try:
-            with pytest.raises(ValidationError):
-                ExecutorPool.shared(max_workers=4)
-        finally:
-            pool.shutdown()
-
-    def test_ensure_accepts_shared_marker(self):
-        from fairexp.explanations import SharedExecutorPool
-
-        pool = ExecutorPool.ensure("shared")
-        try:
-            assert isinstance(pool, SharedExecutorPool)
-            assert pool.refcount >= 1
-            assert ExecutorPool.ensure("shared") is pool
-            pool.shutdown()  # release the second acquisition
-        finally:
-            pool.shutdown()
-
-    def test_sessions_with_shared_pool_build_one_executor_set(self, workload):
-        """Concurrent sessions on pool="shared" construct ONE thread executor
-        between them, and each close() releases without killing the others."""
-        train, model, constraints, rejected = workload
-        factory = _CountingFactory(ThreadPoolExecutor)
-        shared = ExecutorPool.shared(max_workers=2, thread_factory=factory)
-        try:
-            sessions = [
-                AuditSession(_generator(train, model, constraints), n_jobs=2,
-                             pool="shared")
-                for _ in range(3)
-            ]
-            assert all(s.pool is shared for s in sessions)
-            for offset, session in enumerate(sessions):
-                session.counterfactuals_for(rejected + 0.1 * offset, np.arange(4))
-            assert factory.constructed == 1
-            sessions[0].close()
-            # Remaining holders keep working after one session closes.
-            sessions[1].counterfactuals_for(rejected + 0.9, np.arange(2))
-            for session in sessions[1:]:
-                session.close()
-            assert shared.refcount == 1  # only our own acquisition remains
-        finally:
-            shared.shutdown()
-
-    def test_failed_session_construction_releases_shared_reference(self, loan_model):
-        """A session whose __init__ raises AFTER acquiring pool="shared" must
-        release its reference — a leaked refcount would pin the process-wide
-        pool (and its configuration) forever."""
-        with pytest.raises(ValidationError):
-            # schedule= without a generator is rejected after pool acquisition.
-            AuditSession(model=loan_model, schedule="adaptive", pool="shared")
-        # The shared slot is free again: acquiring WITH configuration succeeds,
-        # which the leaked reference would have turned into a ValidationError.
-        pool = ExecutorPool.shared(max_workers=1)
-        try:
-            assert pool.refcount == 1
-        finally:
-            pool.shutdown()

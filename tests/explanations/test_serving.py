@@ -1,7 +1,11 @@
 """Tests for the serving layer: graph export parity, the ONNX-style backend,
 the loopback fleet scoring server (hash routing, admission control) and the
-coalescing remote client (per-graph lanes, dynamic windows, shed retry)."""
+coalescing remote client (per-graph lanes, shed retry, wire faults)."""
 
+import http.client
+import re
+import socket
+import struct
 import threading
 import time
 
@@ -15,7 +19,6 @@ from fairexp.explanations import (
     CoalescingScoringClient,
     ComputeGraph,
     CounterfactualEngine,
-    ExecutorPool,
     GrowingSpheresCounterfactual,
     OnnxExportBackend,
     RemoteScoringBackend,
@@ -411,65 +414,18 @@ class TestFleetRouting:
 
 
 class TestDynamicWindow:
+    """The dispatch window is a fixed number of seconds: there is no dynamic
+    mode, so no arrival pattern resizes it."""
+
     def test_numeric_window_stays_fixed(self, zoo):
-        """Explicit numeric windows keep the exact fixed behaviour: no EWMA
-        resizing, whatever the arrival pattern."""
         models, _, test = zoo
         with serve_model(models["logistic"]) as server:
             backend = RemoteScoringBackend(server.url, window=0.02)
             client = backend.client
-            assert not client.dynamic_window
             for _ in range(5):
                 backend.predict(test.X[:3])
-            assert client.current_window() == 0.02
-
-    def test_auto_window_starts_wide_and_shrinks_under_load(self, zoo):
-        """``window="auto"``: a fresh lane waits the upper bound (nothing is
-        known yet), then rapid arrivals pull the window down toward the
-        lower clamp."""
-        models, _, test = zoo
-        with serve_model(models["logistic"]) as server:
-            client = CoalescingScoringClient(server.url, window="auto",
-                                             window_bounds=(0.001, 0.25))
-            backend = RemoteScoringBackend(client)
-            assert client.current_window() == 0.25
-            for _ in range(25):  # back-to-back arrivals: ewma -> ~0
-                backend.predict(test.X[:2])
-            assert client.current_window() < 0.25
-            stats = client.lane_stats()[""]
-            assert stats["ewma_interval"] is not None
-            assert stats["ewma_interval"] < 0.25
-
-    def test_auto_window_is_clamped_to_bounds(self, zoo):
-        models, _, test = zoo
-        with serve_model(models["logistic"]) as server:
-            client = CoalescingScoringClient(server.url, window="auto",
-                                             window_bounds=(0.015, 0.04))
-            backend = RemoteScoringBackend(client)
-            for _ in range(25):
-                backend.predict(test.X[:2])
-            # Sub-millisecond arrivals push gain*ewma below the lower bound:
-            # the clamp holds the lane at exactly window_bounds[0].
-            assert client.current_window() == 0.015
-            slow = client.lane_stats()[""]
-            assert 0.015 <= slow["window"] <= 0.04
-
-    def test_auto_lanes_size_independently(self, zoo):
-        """Each graph's lane keeps its own EWMA: a busy lane shrinks while
-        an untouched lane still waits the full upper bound."""
-        models, _, test = zoo
-        graphs = [export_model(models["logistic"]), export_model(models["tree"])]
-        with serve_fleet(graphs) as server:
-            client = CoalescingScoringClient(server.url, window="auto",
-                                             window_bounds=(0.001, 0.2))
-            busy = RemoteScoringBackend(client, graph=graphs[0])
-            idle = RemoteScoringBackend(client, graph=graphs[1])
-            for _ in range(25):
-                busy.predict(test.X[:2])
-            assert client.current_window(graphs[0]) < 0.2
-            assert client.current_window(graphs[1]) == 0.2
-            idle.close()
-            busy.close()
+            assert client.window == 0.02
+            assert client.wire_call_count == 5
 
 
 class TestAdmissionControl:
@@ -534,54 +490,66 @@ class TestAdmissionControl:
             assert stats["inflight"] == 0
             assert stats["shed"] == 0
 
-    def test_max_pending_requires_an_attached_pool(self, zoo):
-        models, _, _ = zoo
-        with pytest.raises(ValidationError, match="requires pool="):
-            ScoringServer(export_model(models["logistic"]), max_pending=4)
-        with pytest.raises(ValidationError, match="requires pool="):
-            serve_fleet([models["logistic"]], max_pending=4)
 
-    def test_pool_queue_depth_sheds_and_books_separately(self, zoo):
-        """The ExecutorPool.pending() wiring: a saturated scorer pool sheds
-        with the same fast 429 as max_inflight, booked as ``pool_shed``."""
-        models, _, test = zoo
-        pool = ExecutorPool(max_workers=2)
-        try:
-            with serve_fleet([export_model(models["logistic"])], pool=pool,
-                             max_pending=0) as server:
-                # max_pending=0: any queue depth (>= 0) refuses admission, so
-                # every attempt sheds on pool depth — never on max_inflight.
-                backend = RemoteScoringBackend(server.url, window=0.0,
-                                               max_retries=2, backoff=0.001)
-                with pytest.raises(ValidationError, match="shed"):
-                    backend.predict(test.X[:8])
-                stats = server.stats()
-                assert stats["max_pending"] == 0
-                assert stats["pool_shed"] == 3       # initial + 2 retries
-                assert stats["shed"] == 3            # pool sheds count as sheds
-                assert stats["requests"] == 0        # nothing was admitted
-                assert backend.call_count == 0
-                assert backend.row_count == 0
-        finally:
-            pool.shutdown()
+class _RawStub:
+    """Loopback raw-socket stand-in for a scoring server: it reads each
+    request in full, then hands the connection to ``fault`` to write (or
+    break) the response — the faults ``http.server`` never produces."""
 
-    def test_pool_bound_admits_when_queue_is_shallow(self, zoo):
-        models, _, test = zoo
-        model = models["logistic"]
-        pool = ExecutorPool(max_workers=2)
-        try:
-            with serve_fleet([export_model(model)], pool=pool,
-                             max_pending=8) as server:
-                backend = RemoteScoringBackend(server.url, window=0.0)
-                out = backend.predict(test.X[:6])
-                assert np.array_equal(out, model.predict(test.X[:6]))
-                stats = server.stats()
-                assert stats["max_pending"] == 8
-                assert stats["pool_shed"] == 0
-                assert stats["shed"] == 0
-                assert stats["requests"] == 1
-        finally:
-            pool.shutdown()
+    def __init__(self, fault):
+        self.fault = fault
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.sock.settimeout(0.1)
+        self.url = f"http://127.0.0.1:{self.sock.getsockname()[1]}"
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self.sock.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(10)
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    data += conn.recv(65536)
+                head, _, body = data.partition(b"\r\n\r\n")
+                length = int(re.search(rb"(?i)content-length:\s*(\d+)",
+                                       head).group(1))
+                while len(body) < length:
+                    body += conn.recv(65536)
+                self.fault(conn)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._thread.join(timeout=10)
+        self.sock.close()
+
+
+_OK_HEAD = (b"HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\n"
+            b"Content-Length: %d\r\n\r\n")
+
+
+def _truncated_body(conn):
+    conn.sendall(_OK_HEAD % 1000 + b"\x93NUMPY" + b"\x00" * 40)
+
+
+def _not_npy_body(conn):
+    body = b"this body is not a .npy array"
+    conn.sendall(_OK_HEAD % len(body) + body)
+
+
+def _reset_mid_body(conn):
+    conn.sendall(_OK_HEAD % 1000 + b"\x93NUMPY")
+    # SO_LINGER with a zero timeout: close() sends RST instead of FIN.
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    conn.close()
 
 
 class TestServerLifecycle:
@@ -642,6 +610,45 @@ class TestServerLifecycle:
         assert [b.call_count for b in backends] == [0, 0, 0]
         assert [b.row_count for b in backends] == [0, 0, 0]
 
+    @pytest.mark.parametrize("fault, cause", [
+        (_truncated_body, http.client.IncompleteRead),
+        (_not_npy_body, ValueError),
+        (_reset_mid_body, ConnectionResetError),
+    ], ids=["truncated-body", "not-npy-body", "connection-reset"])
+    def test_mid_response_fault_fails_clean(self, zoo, fault, cause):
+        """A fault after the status line fails the coalesced dispatch with a
+        ValidationError naming the server in every caller, and counts
+        nothing — not the raw socket/HTTP/decode exception."""
+        _, _, test = zoo
+        with _RawStub(fault) as stub:
+            client = CoalescingScoringClient(stub.url, window=5.0)
+            backends = [RemoteScoringBackend(client) for _ in range(3)]
+            errors: list = [None] * 3
+            barrier = threading.Barrier(3)
+
+            def score(k):
+                barrier.wait(timeout=10)
+                try:
+                    backends[k].predict(test.X[:4])
+                except Exception as error:  # noqa: BLE001 - asserting propagation
+                    errors[k] = error
+
+            threads = [threading.Thread(target=score, args=(k,))
+                       for k in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        for error in errors:
+            assert isinstance(error, ValidationError), repr(error)
+            assert stub.url in str(error)
+            assert isinstance(error.__cause__, cause)
+        assert client.wire_call_count == 0
+        assert client.wire_row_count == 0
+        assert [b.call_count for b in backends] == [0, 0, 0]
+        assert [b.row_count for b in backends] == [0, 0, 0]
+
 
 class TestStatsEndpoint:
     def test_stats_reports_per_graph_counters_over_http(self, zoo):
@@ -669,12 +676,12 @@ class TestStatsEndpoint:
             assert entry["rows"] == 10
             assert entry["client_batches"] == 1
             assert entry["coalescing_factor"] == 1.0
-            assert entry["window"] == 0.0
             assert entry["source"] == graph.source
 
     def test_stats_fold_in_client_coalescing_and_window(self, zoo):
-        """The X-Fairexp-Batches / X-Fairexp-Window telemetry: a coalesced
-        wire call raises the server-side coalescing factor above 1."""
+        """The X-Fairexp-Batches telemetry: a batch coalesced within the
+        client's window raises the server-side coalescing factor above 1;
+        the window itself is client configuration, not a server stat."""
         models, _, test = zoo
         model = models["logistic"]
         with serve_model(model) as server:
@@ -696,22 +703,7 @@ class TestStatsEndpoint:
             assert entry["requests"] == 1
             assert entry["client_batches"] == 3
             assert entry["coalescing_factor"] == 3.0
-            assert entry["window"] == 1.0
-
-    def test_attached_pool_utilization_rides_along(self, zoo):
-        models, _, test = zoo
-        pool = ExecutorPool(max_workers=2)
-        try:
-            with serve_fleet([export_model(models["logistic"])],
-                             pool=pool) as server:
-                backend = RemoteScoringBackend(server.url, window=0.0)
-                backend.predict(test.X[:6])
-                stats = server.stats()
-                assert stats["pool"]["thread"]["executors_created"] == 1
-                assert stats["pool"]["thread"]["peak_pending"] >= 1
-                assert pool.pending("thread") == 0
-        finally:
-            pool.shutdown()
+            assert "window" not in entry
 
 
 class TestServeCLI:
