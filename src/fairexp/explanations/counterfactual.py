@@ -355,9 +355,14 @@ class RandomSearchCounterfactual(BaseCounterfactualGenerator):
         """The rung ladder: one Gaussian radius per search step, smallest first."""
         return [float(radius) for radius in self._radii()]
 
+    def _offsets(self, rng, step: int) -> np.ndarray:
+        """``(n_samples, d)`` scaled Gaussian noise at rung ``step``; every
+        rung consumes as many random values, so rows can share the block."""
+        shape = (self.n_samples, self.scale_.shape[0])
+        return rng.normal(0.0, self._radii()[step], shape) * self.scale_
+
     def _draw(self, rng, x: np.ndarray, step: int) -> np.ndarray:
-        noise = rng.normal(0.0, self._radii()[step], (self.n_samples, x.shape[0])) * self.scale_
-        return x[None, :] + noise
+        return x[None, :] + self._offsets(rng, step)
 
     def generate(self, x: np.ndarray) -> Counterfactual:
         """One counterfactual for ``x`` via widening rejection sampling.
@@ -386,7 +391,7 @@ class RandomSearchCounterfactual(BaseCounterfactualGenerator):
         """Row-aligned counterfactuals via the cross-instance lockstep kernel,
         probing the radius ladder in the order this generator's ``schedule``
         plans."""
-        return lockstep_candidate_search(self, X, self._draw,
+        return lockstep_candidate_search(self, X, self._offsets,
                                          len(self.draw_schedule()),
                                          schedule=self.schedule)
 
@@ -420,16 +425,18 @@ class GrowingSpheresCounterfactual(BaseCounterfactualGenerator):
         innermost first."""
         return self._shell_schedule()
 
-    def _sample_shell(self, rng, x, inner: float, outer: float) -> np.ndarray:
-        n_features = x.shape[0]
-        directions = rng.normal(size=(self.n_samples_per_shell, n_features))
+    def _offsets(self, rng, step: int) -> np.ndarray:
+        """``(n_samples_per_shell, d)`` scaled offsets in shell ``step``;
+        every shell consumes as many random values, so rows can share the
+        block."""
+        inner, outer = self._shell_schedule()[step]
+        directions = rng.normal(size=(self.n_samples_per_shell, self.scale_.shape[0]))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True) + 1e-12
         radii = rng.uniform(inner, outer, self.n_samples_per_shell)
-        return x[None, :] + directions * radii[:, None] * self.scale_
+        return directions * radii[:, None] * self.scale_
 
     def _draw(self, rng, x: np.ndarray, step: int) -> np.ndarray:
-        inner, outer = self._shell_schedule()[step]
-        return self._sample_shell(rng, x, inner, outer)
+        return x[None, :] + self._offsets(rng, step)
 
     def generate(self, x: np.ndarray) -> Counterfactual:
         """One counterfactual for ``x`` via expanding L2 shells.
@@ -457,7 +464,7 @@ class GrowingSpheresCounterfactual(BaseCounterfactualGenerator):
         """Row-aligned counterfactuals via the cross-instance lockstep kernel,
         probing the shell ladder in the order this generator's ``schedule``
         plans."""
-        return lockstep_candidate_search(self, X, self._draw,
+        return lockstep_candidate_search(self, X, self._offsets,
                                          len(self.draw_schedule()),
                                          schedule=self.schedule)
 

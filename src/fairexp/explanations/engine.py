@@ -23,13 +23,13 @@ adapter + engine pair and shares each population's counterfactual matrix
 across every audit that requests it (session → engine → backend).
 
 With an integer ``random_state`` the engine path reproduces the sequential
-per-instance path exactly: every instance consumes its own freshly seeded
-random stream in the same order the sequential search would, and only the
-model evaluations are batched across instances.  For the sampling-based
-generators the results are bitwise-identical; for gradient ascent they agree
-up to the floating-point associativity of the backing BLAS (single-row vs.
-batched mat-vec products can differ in the last ulp, which a long gradient
-trajectory amplifies to ~1e-13).
+per-instance path exactly: a row's draws are the ones the sequential
+search makes for it (:func:`lockstep_candidate_search` shares them across
+rows), and only the model evaluations are batched across instances.  For
+the sampling-based generators the results are bitwise-identical; for
+gradient ascent they agree up to the floating-point associativity of
+the backing BLAS (single-row vs. batched mat-vec products can differ in the
+last ulp, which a long gradient trajectory amplifies to ~1e-13).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from typing import Callable
 import numpy as np
 
 from ..exceptions import ValidationError
+from ..utils import check_random_state
 from .backends import (
     CallablePredictBackend,
     MemoizingPredictBackend,
@@ -244,26 +245,84 @@ def greedy_sparsify_batch(generator, X_rows: np.ndarray, candidates: np.ndarray)
     return candidates
 
 
+def _wave_offsets(offsets: Callable[[np.random.Generator, int], np.ndarray],
+                  random_state, n_instances: int):
+    """``wave(rows, plan) -> [(positions, block), ...]``: the offset block
+    each planned row of one lockstep wave adds to itself.
+
+    An integer seed reseeds the same stream for every row, and a draw
+    consumes as many random values at every rung, so a row's ``k``-th draw
+    at rung ``r`` is one block for all rows: it is drawn once per (the
+    row's own draw count, rung), from the stream state saved before draw
+    ``k``.  ``None`` seeds draw from one stream per row; a shared
+    ``np.random.Generator`` is consumed row by row.  The memo lives in one
+    search call, so concurrent shards share nothing.
+    """
+    if not isinstance(random_state, (int, np.integer)):
+        rngs = [check_random_state(random_state) for _ in range(n_instances)]
+
+        def per_row_wave(rows, plan):
+            return [([k], offsets(rngs[i], plan[i])) for k, i in enumerate(rows)]
+
+        return per_row_wave
+
+    rng = check_random_state(random_state)
+    states = [rng.bit_generator.state]  # stream state before draw index k
+    blocks: dict[tuple[int, int], np.ndarray] = {}
+    draw_counts = [0] * n_instances
+
+    def block(count: int, rung: int) -> np.ndarray:
+        if (count, rung) not in blocks:
+            rng.bit_generator.state = states[count]
+            blocks[count, rung] = offsets(rng, rung)
+            if count + 1 == len(states):
+                states.append(rng.bit_generator.state)
+        return blocks[count, rung]
+
+    def shared_wave(rows, plan):
+        groups: dict[tuple[int, int], list[int]] = {}
+        for k, i in enumerate(rows):
+            groups.setdefault((draw_counts[i], plan[i]), []).append(k)
+            draw_counts[i] += 1
+        return [(positions, block(*key)) for key, positions in groups.items()]
+
+    return shared_wave
+
+
 def lockstep_candidate_search(
     generator,
     X: np.ndarray,
-    draw: Callable[[np.random.Generator, np.ndarray, int], np.ndarray],
+    offsets: Callable[[np.random.Generator, int], np.ndarray],
     n_steps: int,
     schedule: SearchSchedule | None = None,
 ) -> list[Counterfactual | None]:
     """Cross-instance rejection-sampling search over a pluggable rung schedule.
 
     All instances advance through the radius/shell ladder in lockstep: one
-    step draws each still-pending instance's candidate matrix at the rung
+    step builds each still-pending instance's candidate matrix at the rung
     its :class:`~fairexp.explanations.schedules.SearchSchedule` cursor
-    planned (from its OWN freshly seeded random stream), projects the
-    resulting ``(n_pending, n_candidates, d)`` tensor through the
-    actionability constraints in one shot, and issues a single
-    ``model.predict`` over all candidates of all pending instances — instead
-    of ``n_instances × n_steps`` separate predicts.  The cursor observes
-    every probe's hit count and decides which rung each instance tries next
-    (or that it is finished); each finished instance keeps its
-    minimum-distance hit across every rung it probed.
+    planned, as the instance plus an ``offsets(rng, rung)`` block of shape
+    ``(n_candidates, d)``, projects the resulting
+    ``(n_pending, n_candidates, d)`` tensor through the actionability
+    constraints in one shot, and issues a single ``model.predict`` over all
+    candidates of all pending instances — instead of
+    ``n_instances × n_steps`` separate predicts.  The cursor observes every
+    probe's hit count and decides which rung each instance tries next (or
+    that it is finished); each finished instance keeps its minimum-distance
+    hit across every rung it probed.
+
+    Under an integer ``random_state`` there is one offset block per
+    (draw index, rung), shared by all rows, so every instance searches the
+    same random directions — as the sequential path, which reseeds the same
+    stream for each row, does.  That correlated noise is a deliberate part
+    of the parity contract.  ``None`` and ``np.random.Generator`` seeds
+    draw per row.  A row's draws therefore do not depend on which other
+    rows share its search, which is what keeps sharded runs bitwise-equal.
+
+    ``offsets(rng, rung)`` must consume the same number of random values at
+    every rung and must not depend on the row: block sharing replays the
+    stream state saved before each draw index, so an ``offsets`` that
+    breaks either rule silently loses batched ≡ sequential parity.
 
     With the default :class:`~fairexp.explanations.schedules.GeometricSchedule`
     every instance walks rung 0, 1, 2, … and stops at its first hit, which
@@ -271,13 +330,11 @@ def lockstep_candidate_search(
     candidate-draw totals of the pass are folded into the generator's
     ``search_step_count`` / ``search_draw_count`` accounting.
     """
-    from ..utils import check_random_state
-
     if schedule is None:
         schedule = getattr(generator, "schedule", None) or GeometricSchedule()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n_instances, n_features = X.shape
-    rngs = [check_random_state(generator.random_state) for _ in range(n_instances)]
+    wave_offsets = _wave_offsets(offsets, generator.random_state, n_instances)
     pending = list(range(n_instances))
     best: dict[int, tuple[float, np.ndarray]] = {}  # (distance, candidate)
     cursor = schedule.begin(n_steps)
@@ -297,8 +354,14 @@ def lockstep_candidate_search(
         if not plan:
             break
         rows = list(plan)
-        candidates = np.stack([draw(rngs[i], X[i], plan[i]) for i in rows])
-        projected = generator.constraints.project(X[rows][:, None, :], candidates)
+        wave_rows = np.asarray(rows, dtype=int)
+        X_wave = X[wave_rows]
+        groups = wave_offsets(rows, plan)
+        candidates = np.empty((len(rows), groups[0][1].shape[0], n_features))
+        for positions, block in groups:
+            candidates[positions] = block
+        np.add(candidates, X_wave[:, None, :], out=candidates)
+        projected = generator.constraints.project(X_wave[:, None, :], candidates)
         predictions = generator._predict(
             projected.reshape(-1, n_features)
         ).reshape(len(rows), -1)
@@ -310,9 +373,8 @@ def lockstep_candidate_search(
         # Python list comprehension per instance per hit.
         hit_rows, hit_columns = np.nonzero(predictions == generator.target_class)
         if hit_rows.size:
-            wave_rows = np.asarray(rows, dtype=int)
             wave_distances = batch_counterfactual_distance(
-                X[wave_rows[hit_rows]], projected[hit_rows, hit_columns],
+                X_wave[hit_rows], projected[hit_rows, hit_columns],
                 scale=generator.scale_, metric=generator.metric,
             )
         bounds = np.searchsorted(hit_rows, np.arange(len(rows) + 1))
@@ -344,9 +406,9 @@ def shard_indices(n_items: int, n_shards: int) -> list[np.ndarray]:
 
     ``np.array_split`` semantics (shard sizes differ by at most one), with
     empty shards dropped.  The split depends only on ``(n_items, n_shards)``
-    so a sharded run is reproducible, and because every lockstep kernel
-    seeds each instance's random stream independently, per-shard results are
-    bitwise-identical to the unsharded pass.
+    so a sharded run is reproducible, and because a row's draws do not
+    depend on its shard (see :func:`lockstep_candidate_search`), per-shard
+    results are bitwise-identical to the unsharded pass.
     """
     n_shards = max(1, min(int(n_shards), int(n_items))) if n_items else 1
     return [shard for shard in np.array_split(np.arange(n_items), n_shards) if shard.size]
@@ -477,10 +539,11 @@ def _run_process_shard(spec: dict, X_shard: np.ndarray
     callable backend) in a fresh counting adapter so the parent can fold the
     shard's predict work back into its own backend
     (:meth:`~fairexp.explanations.backends.NumpyPredictBackend.add_counts`);
-    the shard's schedule step/draw totals ride along the same way.  Because
-    every instance seeds its own random stream from the same integer seed,
-    the shard's results are bitwise-identical to the rows it would produce
-    inside the sequential pass.
+    the shard's schedule step/draw totals ride along the same way.  A
+    row's draws do not depend on its shard (see
+    :func:`lockstep_candidate_search`), so the shard's results are
+    bitwise-identical to the rows it would produce inside the sequential
+    pass.
     """
     if spec["fn"] is not None:
         backend = CallablePredictBackend(spec["fn"], name=spec["fn_name"] or "callable")
@@ -513,10 +576,10 @@ class CounterfactualEngine:
         Number of workers :meth:`generate_aligned` splits its
         work-list across.  ``1`` (the default) runs the single lockstep
         batch; ``-1`` uses one worker per CPU.  Shards are deterministic
-        (:func:`shard_indices`) and each instance owns its freshly seeded
-        random stream, so the merged results are bitwise-identical to
-        ``n_jobs=1`` — only the predict batching (and hence the call count)
-        changes.  Backends are thread-safe, so shards may share one adapter.
+        (:func:`shard_indices`) and a row's draws do not depend on its
+        shard (see :func:`lockstep_candidate_search`), so the merged
+        results are bitwise-identical to ``n_jobs=1`` — only the predict
+        batching (and hence the call count) changes.  Backends are thread-safe, so shards may share one adapter.
         Generators seeded with a shared ``np.random.Generator`` instance
         always run the sequential pass (one stream cannot be sharded).
     executor:
@@ -539,8 +602,8 @@ class CounterfactualEngine:
         :class:`~fairexp.explanations.session.AuditSession` amortizes
         process-pool startup across a whole sweep).  ``None`` (the default)
         keeps the historical per-call pools.  Pooled and per-call execution
-        are bitwise-identical — shards are deterministic and instances own
-        their random streams.
+        are bitwise-identical — shards are deterministic and a row's draws
+        do not depend on its shard.
     """
 
     # Fingerprint-safety declaration for lint rule FX006 (a param never
@@ -594,8 +657,9 @@ class CounterfactualEngine:
         # A np.random.Generator instance as random_state is ONE shared stream:
         # per-instance draws consume it in sequence, so shards would both race
         # on its (non-thread-safe) internal state and change the draw order.
-        # Integer / None seeds give every instance its own stream and shard
-        # deterministically; a Generator falls back to the sequential pass.
+        # Integer / None seeds give every row the same draws wherever it runs
+        # and shard deterministically; a Generator falls back to the
+        # sequential pass.
         if isinstance(getattr(self.generator, "random_state", None), np.random.Generator):
             return 1
         n_jobs = self.n_jobs

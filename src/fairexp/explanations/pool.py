@@ -17,7 +17,7 @@ threads it into every engine call, so a whole sweep with
 ``executor="process"`` constructs exactly **one** ``ProcessPoolExecutor``
 (asserted via a counting factory double in
 ``tests/explanations/test_pool.py``).  Shard *results* are unaffected:
-shards are deterministic and every instance seeds its own random stream, so
+shards are deterministic and a row's draws do not depend on its shard, so
 pooled and per-call execution are bitwise-identical.
 
 One pool is safe to share across **concurrent** sessions of one process:

@@ -17,8 +17,9 @@ flow into a first-class, observable object:
   counts the kernel already computes.
 * :class:`GeometricSchedule` — the default: every instance climbs the fixed
   ladder bottom-up, reproducing the pre-schedule behaviour **bitwise
-  exactly** (same draws from the same random streams, same predict batches,
-  same chosen candidates).
+  exactly** (same draws for every row — see
+  :func:`~fairexp.explanations.engine.lockstep_candidate_search` — same
+  predict batches, same chosen candidates).
 * :class:`AdaptiveSchedule` — consumes the per-step hit rates to probe the
   ladder adaptively per instance: one wide feasibility probe at the top
   rung (instances that miss the widest rung are abandoned immediately

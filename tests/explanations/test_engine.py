@@ -143,6 +143,99 @@ class TestBatchParity:
         assert np.array_equal(generator._sparsify(x, candidate), reference)
 
 
+class _NeverHits:
+    def predict(self, X):
+        return np.zeros(np.atleast_2d(X).shape[0], dtype=int)
+
+
+def _count_offset_calls(generator):
+    """Wrap ``generator._offsets`` so every drawn block is counted."""
+    calls = []
+    offsets = generator._offsets
+
+    def counted(rng, step):
+        calls.append(step)
+        return offsets(rng, step)
+
+    generator._offsets = counted
+    return calls
+
+
+def _record_wave_offsets(monkeypatch, generator):
+    """Record ``candidates - X`` of every search wave before projection."""
+    waves = []
+    project = generator.constraints.project
+
+    def spy(x_original, candidate):
+        if np.ndim(candidate) == 3:  # a lockstep wave, not a result row
+            waves.append(candidate - x_original)
+        return project(x_original, candidate)
+
+    monkeypatch.setattr(generator.constraints, "project", spy)
+    return waves
+
+
+class TestSharedOffsetBlocks:
+    """Under an integer seed every row of a search wave reuses one offset
+    block per (draw index, rung); ``None`` seeds draw per row."""
+
+    @pytest.mark.parametrize("generator_cls", [
+        RandomSearchCounterfactual, GrowingSpheresCounterfactual,
+    ])
+    def test_integer_seed_rows_share_one_stream_of_offsets(self, generator_cls,
+                                                           loan_workload, monkeypatch):
+        # Deliberate, and inherited from the sequential path: each row
+        # reseeds the same stream there, so every audited row searches the
+        # same random directions.
+        _, background, constraints, rejected = loan_workload
+        generator = generator_cls(_NeverHits(), background, constraints=constraints,
+                                  random_state=0)
+        waves = _record_wave_offsets(monkeypatch, generator)
+        generator.generate_batch_aligned(rejected)
+        assert len(waves) == len(generator.draw_schedule())
+        tolerance = 1e-12 * (1.0 + np.abs(rejected).max())
+        for offsets in waves:  # geometric: draw index == rung == wave
+            assert offsets.shape[0] == rejected.shape[0]
+            np.testing.assert_allclose(offsets, np.broadcast_to(offsets[:1], offsets.shape),
+                                       rtol=0, atol=tolerance)
+
+    def test_none_seed_draws_a_stream_per_row(self, loan_workload, monkeypatch):
+        _, background, _, rejected = loan_workload
+        generator = GrowingSpheresCounterfactual(_NeverHits(), background, random_state=None)
+        waves = _record_wave_offsets(monkeypatch, generator)
+        generator.generate_batch_aligned(rejected[:2])
+        assert not np.allclose(waves[0][0], waves[0][1])
+
+    @pytest.mark.parametrize("generator_cls", [
+        RandomSearchCounterfactual, GrowingSpheresCounterfactual,
+    ])
+    def test_offset_draws_do_not_grow_with_rows(self, generator_cls, loan_workload):
+        _, background, _, rejected = loan_workload
+        counts = {}
+        for seed in (0, None):
+            for n_rows in (10, 400):
+                generator = generator_cls(_NeverHits(), background, random_state=seed)
+                calls = _count_offset_calls(generator)
+                generator.generate_batch_aligned(np.resize(rejected, (n_rows, rejected.shape[1])))
+                counts[seed, n_rows] = len(calls)
+        n_rungs = len(generator.draw_schedule())
+        assert counts[0, 10] == counts[0, 400] == n_rungs
+        assert counts[None, 10] == 10 * n_rungs
+        assert counts[None, 400] == 400 * n_rungs
+
+    @pytest.mark.parametrize("schedule", ["geometric", "adaptive"])
+    def test_thread_shards_bitwise_equal_to_sequential(self, schedule, loan_workload):
+        # Every shard builds its own offset memo; the merged results must
+        # still equal the single pass.
+        model, background, constraints, rejected = loan_workload
+        make = lambda: GrowingSpheresCounterfactual(  # noqa: E731
+            model, background, constraints=constraints, random_state=0, schedule=schedule,
+        )
+        sequential = CounterfactualEngine(make(), n_jobs=1).generate_aligned(rejected)
+        engine = CounterfactualEngine(make(), n_jobs=3, executor="thread")
+        _assert_same_results(sequential, engine.generate_aligned(rejected))
+
+
 class TestCounterfactualEngine:
     def test_wraps_model_once_and_counts(self, loan_workload):
         model, background, constraints, rejected = loan_workload

@@ -103,7 +103,7 @@ class TestGeometricParity:
             GrowingSpheresCounterfactual, train, model, constraints
         ).generate_batch_aligned(rejected)
         overridden = lockstep_candidate_search(
-            generator, rejected, generator._draw, len(generator.draw_schedule()),
+            generator, rejected, generator._offsets, len(generator.draw_schedule()),
             schedule=GeometricSchedule(),
         )
         for ref, got in zip(geometric_reference, overridden):
@@ -217,7 +217,7 @@ class TestAdaptiveSchedule:
         generator = GrowingSpheresCounterfactual(NeverHits(), train.X,
                                                  random_state=0)
         results = lockstep_candidate_search(
-            generator, rejected[:3], generator._draw,
+            generator, rejected[:3], generator._offsets,
             len(generator.draw_schedule()), schedule=StuckSchedule(),
         )
         assert results == [None, None, None]
@@ -262,6 +262,95 @@ class TestAdaptiveSchedule:
             if seq is not None:
                 assert np.array_equal(seq.counterfactual, par.counterfactual)
                 assert seq.distance == par.distance
+
+
+class _SkippingCursor:
+    """Walks each row up the ladder from a row-dependent rung, but plans only
+    the even-indexed pending rows on odd waves, so rows of one wave sit at
+    different draw counts and rungs."""
+
+    def __init__(self, n_steps):
+        self.n_steps = n_steps
+        self.wave = 0
+        self.probes: dict[int, int] = {}
+        self.finished: set[int] = set()
+
+    def plan(self, pending):
+        planned = pending[::2] if self.wave % 2 else pending
+        self.wave += 1
+        return {i: (i + self.probes.get(i, 0)) % self.n_steps for i in planned}
+
+    def observe(self, i, rung, n_hits, n_candidates):
+        self.probes[i] = self.probes.get(i, 0) + 1
+        if n_hits or self.probes[i] == self.n_steps:
+            self.finished.add(i)
+
+
+class SkippingSchedule(SearchSchedule):
+    def begin(self, n_steps):
+        return _SkippingCursor(n_steps)
+
+
+def _per_row_stream_search(generator, X, schedule, seed):
+    """Reference lockstep search in which every row draws from its own
+    freshly seeded stream."""
+    from fairexp.explanations.engine import greedy_sparsify_batch
+    from fairexp.explanations.kernels import batch_counterfactual_distance
+
+    n_steps = len(generator.draw_schedule())
+    rngs = [np.random.default_rng(seed) for _ in range(X.shape[0])]
+    cursor = schedule.begin(n_steps)
+    pending = list(range(X.shape[0]))
+    best = {}
+    for _ in range(2 * n_steps + 2):
+        plan = cursor.plan(pending) if pending else {}
+        if not plan:
+            break
+        rows = list(plan)
+        candidates = np.stack([generator._draw(rngs[i], X[i], plan[i]) for i in rows])
+        projected = generator.constraints.project(X[rows][:, None, :], candidates)
+        predictions = generator._predict(
+            projected.reshape(-1, X.shape[1])).reshape(len(rows), -1)
+        for k, i in enumerate(rows):
+            hits = np.flatnonzero(predictions[k] == generator.target_class)
+            if hits.size:
+                distances = batch_counterfactual_distance(
+                    X[[i] * hits.size], projected[k, hits],
+                    scale=generator.scale_, metric=generator.metric)
+                pick = int(np.argmin(distances))
+                if i not in best or float(distances[pick]) < best[i][0]:
+                    best[i] = (float(distances[pick]), projected[k, hits[pick]])
+            cursor.observe(i, plan[i], int(hits.size), predictions.shape[1])
+        pending = [i for i in pending if i not in cursor.finished]
+    results = [None] * X.shape[0]
+    solved = sorted(best)
+    if solved:
+        sparse = greedy_sparsify_batch(generator, X[solved],
+                                       np.stack([best[i][1] for i in solved]))
+        for i, result in zip(solved, generator._make_results_batch(X[solved], sparse)):
+            results[i] = result
+    return results
+
+
+class TestCustomCursorParity:
+    @pytest.mark.parametrize("generator_cls", [
+        GrowingSpheresCounterfactual, RandomSearchCounterfactual,
+    ])
+    def test_skipping_cursor_matches_per_row_streams(self, generator_cls, workload):
+        """Shared offset blocks are keyed by each row's own draw count, so a
+        cursor that leaves rows out of some waves still sees exactly the
+        draws of a per-row stream."""
+        train, model, constraints, rejected = workload
+        generator = _generator(generator_cls, train, model, constraints,
+                               schedule=SkippingSchedule())
+        reference = _per_row_stream_search(generator, rejected, SkippingSchedule(), seed=0)
+        batched = generator.generate_batch_aligned(rejected)
+        assert sum(result is not None for result in reference) > len(rejected) // 2
+        for ref, bat in zip(reference, batched):
+            assert (ref is None) == (bat is None)
+            if ref is not None:
+                assert np.array_equal(ref.counterfactual, bat.counterfactual)
+                assert ref.distance == bat.distance
 
 
 class TestScheduleAccounting:

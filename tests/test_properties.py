@@ -11,7 +11,14 @@ from fairexp.causal import (
     probability_of_necessity_and_sufficiency,
     probability_of_sufficiency,
 )
-from fairexp.explanations import counterfactual_distance, shapley_for_value_function
+from fairexp.exceptions import InfeasibleRecourseError
+from fairexp.explanations import (
+    CounterfactualEngine,
+    GrowingSpheresCounterfactual,
+    RandomSearchCounterfactual,
+    counterfactual_distance,
+    shapley_for_value_function,
+)
 from fairexp.explanations.counterfactual import ActionabilityConstraints
 from fairexp.fairness import (
     disparate_impact,
@@ -200,6 +207,75 @@ def test_constraint_projection_is_idempotent_and_feasible(x, candidate, seed):
     projected = constraints.project(x, candidate)
     assert constraints.is_feasible(x, projected)
     assert np.allclose(constraints.project(x, projected), projected)
+
+
+class _LinearRule:
+    """A fixed linear decision rule, scored row by row."""
+
+    def __init__(self, weights, threshold):
+        self.weights, self.threshold = weights, threshold
+
+    def predict(self, X):
+        return ((np.atleast_2d(X) * self.weights).sum(axis=1) > self.threshold).astype(int)
+
+
+def _search_problem(seed, n_features):
+    """A random linear rule, background, rejected rows and constraint set
+    (immutable mask, finite / NaN / infinite bounds, +1/0/-1 monotone)."""
+    rng = np.random.default_rng(seed)
+    background = rng.normal(size=(40, n_features)) * rng.uniform(0.5, 2.0, n_features)
+    weights = rng.normal(size=n_features)
+    model = _LinearRule(weights, float(np.median(background @ weights)))
+    rejected = background[model.predict(background) == 0][:6]
+    constraints = ActionabilityConstraints.unconstrained(n_features)
+    constraints.immutable = rng.random(n_features) < 0.3
+    constraints.monotone = rng.integers(-1, 2, n_features)
+    constraints.lower = rng.choice([-1.5, np.nan, -np.inf], n_features)
+    constraints.upper = rng.choice([1.5, np.nan, np.inf], n_features)
+    return model, background, rejected, constraints
+
+
+_SMALL_LADDERS = {
+    GrowingSpheresCounterfactual: dict(n_samples_per_shell=25, max_shells=8),
+    RandomSearchCounterfactual: dict(n_samples=25, n_radii=6),
+}
+
+
+def _assert_same_counterfactuals(expected, got):
+    assert len(expected) == len(got)
+    for a, b in zip(expected, got):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a.counterfactual, b.counterfactual)
+            assert a.changed_features == b.changed_features
+            assert a.distance == b.distance
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(_SMALL_LADDERS, key=lambda cls: cls.__name__)),
+       st.integers(2, 6), st.integers(0, 10**6), st.integers(0, 2**32 - 1),
+       st.sampled_from(["l1", "l2", "l0"]))
+def test_sampling_search_batched_equals_sequential(generator_cls, n_features, data_seed,
+                                                   seed, metric):
+    model, background, rejected, constraints = _search_problem(data_seed, n_features)
+
+    def make(schedule=None):
+        return generator_cls(model, background, constraints=constraints, metric=metric,
+                             random_state=seed, schedule=schedule,
+                             **_SMALL_LADDERS[generator_cls])
+
+    sequential = []
+    for row in rejected:
+        try:
+            sequential.append(make().generate(row))
+        except InfeasibleRecourseError:
+            sequential.append(None)
+    _assert_same_counterfactuals(sequential, make().generate_batch_aligned(rejected))
+
+    single = CounterfactualEngine(make("adaptive"), n_jobs=1).generate_aligned(rejected)
+    sharded = CounterfactualEngine(make("adaptive"), n_jobs=2,
+                                   executor="thread").generate_aligned(rejected)
+    _assert_same_counterfactuals(single, sharded)
 
 
 # --------------------------------------------------------------------------
