@@ -64,6 +64,16 @@ class ActionabilityConstraints:
     upper: np.ndarray
     monotone: np.ndarray
 
+    def __post_init__(self):
+        # Validate only: the stored arrays are folded into store fingerprints
+        # by ``generator_config``, so they are never coerced or replaced.
+        shapes = [np.shape(v) for v in (self.immutable, self.lower, self.upper,
+                                        self.monotone)]
+        if any(len(shape) != 1 or shape != shapes[0] for shape in shapes):
+            raise ValidationError(
+                "immutable, lower, upper and monotone must be 1-D vectors of one "
+                f"shared length (one entry per feature); got shapes {shapes}")
+
     @classmethod
     def unconstrained(cls, n_features: int) -> "ActionabilityConstraints":
         """Constraints allowing every feature to move freely."""

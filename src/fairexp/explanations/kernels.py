@@ -8,8 +8,8 @@ optimized.  This module concentrates those loops in four NumPy functions:
 * :func:`batch_counterfactual_distance` — distances for many ``(x, x')``
   pairs in one call (replaces the per-hit Python list comprehension);
 * :func:`project_candidates` — the actionability projection cascade over any
-  stacked candidate tensor, with masked in-place passes instead of a chain
-  of full-tensor ``np.where`` temporaries;
+  stacked candidate tensor: one clip allocation, then unmasked in-place
+  passes against floors and ceilings the size of ``x_original``;
 * :func:`build_prefix_revert_trials` — one instance's cumulative
   prefix-revert trial matrix in a single allocation (replaces the
   per-feature ``trial.copy()`` chain);
@@ -83,13 +83,23 @@ def project_candidates(x_original, candidates, *, immutable, lower, upper,
                        monotone) -> np.ndarray:
     """Project stacked candidates onto the feasible set (clip → monotone → freeze).
 
-    Accepts any ``(..., d)`` candidate tensor with ``x_original``
-    broadcastable against it — the body of
+    Accepts any ``(..., d)`` candidate tensor with a ``(..., d)``
+    ``x_original`` that broadcasts against it over the leading axes — the
+    body of
     :meth:`~fairexp.explanations.counterfactual.ActionabilityConstraints.project`.
-    Same semantics (and bitwise-identical output) as the historical
-    clip → ``np.where`` cascade, but the monotone/immutable passes write
-    in-place through ``where=`` masks instead of allocating a full-tensor
-    temporary per pass, and passes whose mask is empty are skipped entirely.
+    The four constraint vectors must each have shape ``(d,)``; anything else
+    raises :class:`~fairexp.exceptions.ValidationError` instead of silently
+    broadcasting.  Output is bitwise-identical to the historical
+    clip → ``np.where`` cascade (NaN bounds are unbounded).
+
+    Cost model: one full-tensor allocation (the clip, or a copy when every
+    lower bound is ``-inf`` and every upper bound ``+inf``), then unmasked
+    in-place passes.  Monotone features are enforced by one ``np.maximum``
+    against a floor and one ``np.minimum`` against a ceiling; both have the
+    shape of ``x_original`` (``(n, 1, d)`` for a search wave), holding the
+    original value on the constrained features and ``∓inf`` elsewhere, so
+    they are tiny next to the candidates.  Immutable features are frozen by
+    one column assignment.  A pass whose feature set is empty is skipped.
     """
     candidates = np.asarray(candidates, dtype=float)
     x_original = np.asarray(x_original, dtype=float)
@@ -97,21 +107,29 @@ def project_candidates(x_original, candidates, *, immutable, lower, upper,
     monotone = np.asarray(monotone)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
+    n_features = candidates.shape[-1] if candidates.ndim else None
+    shapes = [v.shape for v in (immutable, lower, upper, monotone)]
+    if any(shape != (n_features,) for shape in shapes):
+        raise ValidationError(
+            f"constraint vectors must have shape ({n_features},) to match candidates "
+            f"of shape {candidates.shape}; got immutable/lower/upper/monotone {shapes}")
     lower = np.where(np.isnan(lower), -np.inf, lower)
     upper = np.where(np.isnan(upper), np.inf, upper)
-    if np.isfinite(lower).any() or np.isfinite(upper).any():
+    if (lower != -np.inf).any() or (upper != np.inf).any():
         projected = np.clip(candidates, lower, upper)
     else:
         projected = candidates.copy()
-    originals = np.broadcast_to(x_original, projected.shape)
+    # Candidates stay the first argument, as in the cascade: np.maximum and
+    # np.minimum return the first of two NaNs and the second of two equal
+    # zeros, so the order decides the output bits.
     increasing = monotone == 1
     if increasing.any():
-        np.maximum(projected, originals, out=projected, where=increasing)
+        np.maximum(projected, np.where(increasing, x_original, -np.inf), out=projected)
     decreasing = monotone == -1
     if decreasing.any():
-        np.minimum(projected, originals, out=projected, where=decreasing)
+        np.minimum(projected, np.where(decreasing, x_original, np.inf), out=projected)
     if immutable.any():
-        np.copyto(projected, originals, where=immutable)
+        projected[..., immutable] = x_original[..., immutable]
     return projected
 
 

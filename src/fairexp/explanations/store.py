@@ -757,9 +757,10 @@ class CounterfactualStore:
         except OSError:
             # Disk full / permissions lost mid-sweep: the audit's results
             # are already in memory — a skipped publish is a future miss,
-            # never a reason to abort the audit.  Leftover temp files age
-            # out via the orphan sweep.
-            for leftover in (temp_payload, temp_manifest):
+            # never a reason to abort the audit.  The payload may already be
+            # published under its token-derived name, which only this writer
+            # owns, so it goes too: no manifest will ever reference it.
+            for leftover in (temp_payload, temp_manifest, payload_path):
                 try:
                     leftover.unlink()
                 except OSError:

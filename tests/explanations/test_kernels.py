@@ -152,7 +152,9 @@ class TestLegacyParity:
             lower=constraints.lower, upper=constraints.upper,
             monotone=constraints.monotone)
         assert got.shape == expected.shape
-        assert np.array_equal(got, expected)
+        # Bitwise: np.array_equal would accept -0.0 for 0.0, a store digest
+        # would not.
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_prefix_trials_match_copy_chain(self, rng):
         for d in (1, 4, 9):
@@ -212,6 +214,25 @@ class TestEdgeCases:
             lower=constraints.lower, upper=constraints.upper,
             monotone=constraints.monotone)
         assert np.array_equal(projected, np.broadcast_to(x, candidates.shape))
+
+    @pytest.mark.parametrize("field", ["immutable", "lower", "upper", "monotone"])
+    def test_constraint_vectors_must_share_one_length(self, field):
+        vectors = vars(ActionabilityConstraints.unconstrained(4))
+        with pytest.raises(ValidationError, match="one shared length"):
+            ActionabilityConstraints(**{**vectors, field: vectors[field][:1]})
+        with pytest.raises(ValidationError, match="1-D"):
+            ActionabilityConstraints(**{**vectors, field: vectors[field][None, :]})
+
+    def test_project_rejects_constraints_of_another_width(self, rng):
+        # A length-1 mask would broadcast and freeze every one of 4 features.
+        constraints = ActionabilityConstraints.unconstrained(4)
+        constraints.immutable = np.array([True])
+        x = rng.normal(size=4)
+        with pytest.raises(ValidationError, match=r"shape \(4,\)"):
+            constraints.project(x, x + 1.0)
+        with pytest.raises(ValidationError, match=r"shape \(3,\)"):
+            ActionabilityConstraints.unconstrained(4).project(
+                x[:3], rng.normal(size=(5, 3)))
 
     def test_single_feature_rows(self, rng):
         X = rng.normal(size=(10, 1))

@@ -150,6 +150,42 @@ class TestRoundTrip:
         store.save("aa" * 32, _some_results(), n_features=3)  # must not raise
         assert store.entries() == []
 
+    @pytest.mark.parametrize("failing_call", [1, 2], ids=["payload", "manifest"])
+    def test_failed_publish_leaves_no_files(self, tmp_path, monkeypatch, failing_call):
+        """An ``os.replace`` failing on the payload publish (1st call) or the
+        manifest publish (2nd call) leaves neither an orphan payload nor a
+        temp file, counts one clean miss, and the next save round-trips."""
+        import errno
+
+        store = CounterfactualStore(tmp_path)
+        fingerprint = "ab" * 32
+        real_replace = os.replace
+        calls = []
+
+        def flaky_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == failing_call:
+                raise OSError(errno.EIO, "injected publish failure")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", flaky_replace)
+        store.save(fingerprint, _some_results(), n_features=3)  # must not raise
+        monkeypatch.undo()
+        assert len(calls) == failing_call
+        assert list(tmp_path.glob("*.npz")) == []
+        assert list(tmp_path.glob("*.tmp-*")) == []
+        assert store.entries() == []
+        assert store.load(fingerprint) is None
+        assert (store.hit_count, store.miss_count) == (0, 1)
+
+        store.save(fingerprint, _some_results(), n_features=3)
+        loaded = store.load(fingerprint)
+        assert (store.hit_count, store.miss_count) == (1, 1)
+        assert store.entries() == [fingerprint]
+        assert loaded[7] is None
+        assert np.array_equal(loaded[3].counterfactual,
+                              _some_results()[3].counterfactual)
+
     def test_meta_with_nonstring_keys_skips_persistence(self, tmp_path):
         """json.dumps coerces int keys to strings without raising; meta that
         would come back changed must not be persisted either."""

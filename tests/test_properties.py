@@ -17,6 +17,7 @@ from fairexp.explanations import (
     GrowingSpheresCounterfactual,
     RandomSearchCounterfactual,
     counterfactual_distance,
+    project_candidates,
     shapley_for_value_function,
 )
 from fairexp.explanations.counterfactual import ActionabilityConstraints
@@ -207,6 +208,62 @@ def test_constraint_projection_is_idempotent_and_feasible(x, candidate, seed):
     projected = constraints.project(x, candidate)
     assert constraints.is_feasible(x, projected)
     assert np.allclose(constraints.project(x, projected), projected)
+
+
+def _where_cascade(x_original, candidates, immutable, lower, upper, monotone):
+    """The historical projection: clip, then one full-tensor np.where per pass."""
+    lower = np.where(np.isnan(lower), -np.inf, lower)
+    upper = np.where(np.isnan(upper), np.inf, upper)
+    projected = np.clip(candidates, lower, upper)
+    originals = np.broadcast_to(x_original, projected.shape)
+    projected = np.where(monotone == 1, np.maximum(projected, originals), projected)
+    projected = np.where(monotone == -1, np.minimum(projected, originals), projected)
+    return np.where(immutable, originals, projected)
+
+
+# Both NaN signs and both zeros: np.maximum/np.minimum return the first NaN
+# and the second of two equal zeros, so argument order shows in the bits.
+_EDGE_FLOATS = st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0])
+_UNBOUNDED = st.sampled_from([np.nan, np.inf, -np.inf])
+_PROJECTION_SHAPES = {  # (candidates, x_original) for n rows, c candidates, d features
+    "single": lambda n, c, d: ((d,), (d,)),
+    "aligned": lambda n, c, d: ((n, d), (n, d)),
+    "matrix": lambda n, c, d: ((n, d), (d,)),
+    "wave": lambda n, c, d: ((n, c, d), (n, 1, d)),
+}
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from(sorted(_PROJECTION_SHAPES)),
+       st.sampled_from(["random", "infinite_bounds", "all_immutable", "none"]),
+       st.integers(1, 6), st.integers(1, 5), st.integers(1, 7))
+def test_projection_is_bitwise_equal_to_where_cascade(data, shape, constraint_kind, d, n, c):
+    candidate_shape, original_shape = _PROJECTION_SHAPES[shape](n, c, d)
+    # fill=nothing draws every element, so zero and NaN pairs meet often.
+    values = st.one_of(_EDGE_FLOATS, st.floats(-10, 10))
+    candidates = data.draw(hnp.arrays(np.float64, candidate_shape, elements=values,
+                                      fill=st.nothing()))
+    x_original = data.draw(hnp.arrays(np.float64, original_shape, elements=values,
+                                      fill=st.nothing()))
+    if constraint_kind == "none":
+        immutable, monotone = np.zeros(d, dtype=bool), np.zeros(d, dtype=int)
+        lower = data.draw(hnp.arrays(np.float64, d, elements=st.sampled_from([np.nan, -np.inf])))
+        upper = data.draw(hnp.arrays(np.float64, d, elements=st.sampled_from([np.nan, np.inf])))
+    else:
+        # Bounds may be NaN, infinite on either side, or cross (lower > upper);
+        # "infinite_bounds" has no finite bound, yet lower=+inf still clips.
+        bounds = hnp.arrays(np.float64, d, elements=(
+            _UNBOUNDED if constraint_kind == "infinite_bounds"
+            else st.one_of(_EDGE_FLOATS, st.floats(-3, 3))))
+        lower, upper = data.draw(bounds), data.draw(bounds)
+        monotone = data.draw(hnp.arrays(np.int64, d, elements=st.integers(-1, 1)))
+        immutable = (np.ones(d, dtype=bool) if constraint_kind == "all_immutable"
+                     else data.draw(hnp.arrays(np.bool_, d)))
+    expected = _where_cascade(x_original, candidates, immutable, lower, upper, monotone)
+    got = project_candidates(x_original, candidates, immutable=immutable, lower=lower,
+                             upper=upper, monotone=monotone)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class _LinearRule:
