@@ -145,12 +145,14 @@ def test_store_population_results_survive_round_trip(tmp_path):
     run_sweep(session, dataset, subset)
     [fingerprint] = CounterfactualStore(tmp_path / "store").entries()
     reloaded = CounterfactualStore(tmp_path / "store").load(fingerprint)
-    original = session._results[session.population_key(subset.X)]
-    assert set(reloaded) == set(original)
-    for index, result in original.items():
+    batch, searched = session._results[session.population_key(subset.X)]
+    searched_rows = np.flatnonzero(searched)
+    assert reloaded.indices.tolist() == searched_rows.tolist()
+    for loaded, index in zip(reloaded, searched_rows):
+        result = batch[index]
         if result is None:
-            assert reloaded[index] is None
+            assert loaded is None
             continue
-        assert np.array_equal(reloaded[index].counterfactual, result.counterfactual)
-        assert reloaded[index].distance == result.distance
-        assert reloaded[index].changed_features == result.changed_features
+        assert np.array_equal(loaded.counterfactual, result.counterfactual)
+        assert loaded.distance == result.distance
+        assert loaded.changed_features == result.changed_features

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..explanations.base import Counterfactual, ExplainerInfo, ExplainerRegistry
+from ..explanations.base import ExplainerInfo, ExplainerRegistry
 from ..explanations.counterfactual import BaseCounterfactualGenerator
 from ..explanations.session import AuditSession
 from ..fairness.groups import group_masks
@@ -49,7 +49,6 @@ class BurdenResult:
 
     protected: GroupBurden
     reference: GroupBurden
-    counterfactuals: dict[int, list[Counterfactual]] = field(repr=False, default_factory=dict)
 
     @property
     def gap(self) -> float:
@@ -139,17 +138,10 @@ class BurdenExplainer:
         masks = group_masks(sensitive, protected_value=protected_value)
 
         per_group: dict[int, GroupBurden] = {}
-        counterfactuals: dict[int, list[Counterfactual]] = {}
         for group_value, mask in ((1, masks.protected), (0, masks.reference)):
             member_idx = np.flatnonzero(mask & selected)
-            generated = self.session.counterfactuals_for(X, member_idx)
-            group_counterfactuals: list[Counterfactual] = [
-                generated[i] for i in member_idx if i in generated
-            ]
-            distances = np.asarray(
-                [counterfactual.distance for counterfactual in group_counterfactuals],
-                dtype=float,
-            )
+            found = self.session.results_for(X, member_idx)
+            distances = found.distances[found.has_result]
             per_group[group_value] = GroupBurden(
                 group=group_value,
                 n_negative=int(member_idx.shape[0]),
@@ -157,8 +149,5 @@ class BurdenExplainer:
                 burden=float(distances.mean()) if distances.size else 0.0,
                 distances=distances,
             )
-            counterfactuals[group_value] = group_counterfactuals
 
-        return BurdenResult(
-            protected=per_group[1], reference=per_group[0], counterfactuals=counterfactuals
-        )
+        return BurdenResult(protected=per_group[1], reference=per_group[0])

@@ -110,10 +110,8 @@ class NAWBExplainer:
             false_negatives = positive_label & (predictions == 0)
             fn_idx = np.flatnonzero(false_negatives)
 
-            generated = self.session.counterfactuals_for(X, fn_idx)
-            distances = np.asarray(
-                [generated[i].distance for i in fn_idx if i in generated], dtype=float
-            )
+            found = self.session.results_for(X, fn_idx)
+            distances = found.distances[found.has_result]
 
             n_positive = int(positive_label.sum())
             total_distance = float(distances.sum())

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import ValidationError
-from ..explanations.base import Counterfactual, ExplainerInfo, ExplainerRegistry
+from ..explanations.base import CounterfactualBatch, ExplainerInfo, ExplainerRegistry
 from ..explanations.counterfactual import BaseCounterfactualGenerator
 from ..explanations.session import AuditSession
 from ..fairness.groups import group_masks
@@ -131,27 +131,23 @@ class PreCoFExplainer:
         self.sensitive_feature = sensitive_feature
         self.mode = mode
 
-    def _profile(self, counterfactuals: list[Counterfactual]) -> AttributeChangeProfile:
-        change_counts = {name: 0 for name in self.feature_names}
-        change_magnitudes = {name: [] for name in self.feature_names}
-        n_explained = len(counterfactuals)
-        scale = self.generator.scale_
-        for counterfactual in counterfactuals:
-            delta = counterfactual.delta()
-            for j in counterfactual.changed_features:
-                name = self.feature_names[j]
-                change_counts[name] += 1
-                change_magnitudes[name].append(abs(delta[j]) / scale[j])
-        frequency = {
-            name: (count / n_explained if n_explained else 0.0)
-            for name, count in change_counts.items()
-        }
-        magnitude = {
-            name: (float(np.mean(values)) if values else 0.0)
-            for name, values in change_magnitudes.items()
-        }
+    def _profile(self, group: int, found: CounterfactualBatch) -> AttributeChangeProfile:
+        """Change frequency and mean scaled magnitude per attribute over the
+        rows of ``found`` that have a counterfactual."""
+        changed = found.changed_masks[found.has_result]
+        delta = (found.counterfactuals - found.originals)[found.has_result]
+        magnitudes = np.abs(delta) / self.generator.scale_
+        n_explained = changed.shape[0]
+        frequency = dict.fromkeys(self.feature_names, 0.0)
+        magnitude = dict.fromkeys(self.feature_names, 0.0)
+        for j, name in zip(range(changed.shape[1]), self.feature_names):
+            rows = changed[:, j]
+            count = int(rows.sum())
+            if count:
+                frequency[name] = count / n_explained
+                magnitude[name] = float(np.mean(magnitudes[rows, j]))
         return AttributeChangeProfile(
-            group=-1, n_explained=n_explained,
+            group=group, n_explained=n_explained,
             change_frequency=frequency, mean_change_magnitude=magnitude,
         )
 
@@ -172,17 +168,9 @@ class PreCoFExplainer:
         # audit of the same population already paid for these rows); the
         # explicit-bias analysis below reuses the protected group's
         # counterfactuals instead of re-generating them.
-        protected_counterfactuals = list(
-            self.session.counterfactuals_for(X, protected_idx).values()
-        )
-        reference_counterfactuals = list(
-            self.session.counterfactuals_for(X, reference_idx).values()
-        )
-
-        protected_profile = self._profile(protected_counterfactuals)
-        protected_profile.group = 1
-        reference_profile = self._profile(reference_counterfactuals)
-        reference_profile.group = 0
+        protected = self.session.results_for(X, protected_idx)
+        protected_profile = self._profile(1, protected)
+        reference_profile = self._profile(0, self.session.results_for(X, reference_idx))
 
         sensitive_in_features = self.sensitive_feature in self.feature_names
         explicit_bias_rate = 0.0
@@ -190,10 +178,9 @@ class PreCoFExplainer:
         if sensitive_in_features and protected_profile.n_explained:
             sensitive_change_rate = protected_profile.change_frequency[self.sensitive_feature]
             sensitive_index = self.feature_names.index(self.sensitive_feature)
-            only_sensitive = sum(
-                counterfactual.changed_features == (sensitive_index,)
-                for counterfactual in protected_counterfactuals
-            )
+            changed = protected.changed_masks[protected.has_result]
+            only_sensitive = int(np.sum(changed[:, sensitive_index]
+                                        & (changed.sum(axis=1) == 1)))
             explicit_bias_rate = only_sensitive / protected_profile.n_explained
 
         frequency_gap = {

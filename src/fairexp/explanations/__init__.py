@@ -21,6 +21,7 @@ See ``docs/architecture.md`` and ``docs/api/`` for the full reference.
 from .base import (
     CompatibilityCheck,
     Counterfactual,
+    CounterfactualBatch,
     ExampleExplanation,
     ExplainerInfo,
     ExplainerRegistry,
@@ -136,6 +137,7 @@ __all__ = [
     "shard_indices",
     "FeatureAttribution",
     "Counterfactual",
+    "CounterfactualBatch",
     "RuleExplanation",
     "ExampleExplanation",
     "ShapleyExplainer",

@@ -12,8 +12,9 @@ hard-coded import lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "ExplainerRegistry",
     "FeatureAttribution",
     "Counterfactual",
+    "CounterfactualBatch",
     "RuleExplanation",
     "ExampleExplanation",
 ]
@@ -417,6 +419,116 @@ class Counterfactual:
             name = feature_names[j] if feature_names is not None else f"x{j}"
             lines.append(f"{name}: {original[j]:.4g} -> {counterfactual[j]:.4g}")
         return lines
+
+
+@dataclass(eq=False)
+class CounterfactualBatch(Sequence):
+    """Counterfactual results for many rows, one array per field.
+
+    Row ``k`` answers row ``indices[k]`` of some population.  Rows whose
+    search found nothing have ``has_result[k] == False``; their other
+    columns hold NaN, 0 or ``False``.  The fields are the members of a
+    :class:`~fairexp.explanations.store.CounterfactualStore` payload, and
+    the audits read the columns directly.  ``metas`` holds each row's
+    ``meta`` dict (``None`` for none; the store writes it only when some
+    row carries one).
+
+    The batch is also a ``Sequence[Counterfactual | None]``: indexing row
+    ``k`` builds its :class:`Counterfactual` (``None`` without a result)
+    on demand.
+    """
+
+    indices: np.ndarray
+    has_result: np.ndarray
+    originals: np.ndarray
+    counterfactuals: np.ndarray
+    original_predictions: np.ndarray
+    counterfactual_predictions: np.ndarray
+    distances: np.ndarray
+    constraint_feasible: np.ndarray
+    changed_masks: np.ndarray
+    metas: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.metas is None:
+            self.metas = np.full(len(self.indices), None, dtype=object)
+        if len({len(column) for column in self.columns().values()}) > 1 \
+                or self.originals.shape != self.counterfactuals.shape:
+            raise ValueError("CounterfactualBatch columns disagree on their shapes")
+
+    @classmethod
+    def empty(cls, n_rows: int, n_features: int, indices=None) -> "CounterfactualBatch":
+        """``n_rows`` rows without a result (``indices`` default to ``0..n_rows-1``)."""
+        return cls(
+            indices=np.asarray(range(n_rows) if indices is None else indices, dtype=np.int64),
+            has_result=np.zeros(n_rows, dtype=bool),
+            originals=np.full((n_rows, n_features), np.nan),
+            counterfactuals=np.full((n_rows, n_features), np.nan),
+            original_predictions=np.zeros(n_rows, dtype=np.int64),
+            counterfactual_predictions=np.zeros(n_rows, dtype=np.int64),
+            distances=np.full(n_rows, np.nan),
+            constraint_feasible=np.zeros(n_rows, dtype=bool),
+            changed_masks=np.zeros((n_rows, n_features), dtype=bool),
+        )
+
+    @classmethod
+    def from_counterfactuals(cls, indices, rows: Sequence[Counterfactual | None],
+                             n_features: int) -> "CounterfactualBatch":
+        """Stack per-row results (``None`` = no counterfactual) into columns,
+        for generators that only implement the per-row ``generate``."""
+        batch = cls.empty(len(rows), n_features, indices)
+        for k, row in enumerate(rows):
+            if row is None:
+                continue
+            batch.has_result[k] = True
+            batch.originals[k], batch.counterfactuals[k] = row.original, row.counterfactual
+            batch.original_predictions[k] = row.original_prediction
+            batch.counterfactual_predictions[k] = row.counterfactual_prediction
+            batch.distances[k], batch.constraint_feasible[k] = row.distance, row.feasible
+            batch.changed_masks[k, list(row.changed_features)] = True
+            batch.metas[k] = row.meta or None
+        return batch
+
+    @classmethod
+    def concat(cls, batches: Sequence["CounterfactualBatch"]) -> "CounterfactualBatch":
+        """The rows of every batch, in order."""
+        return cls(**{name: np.concatenate([batch.columns()[name] for batch in batches])
+                      for name in batches[0].columns()})
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """Field name -> column."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def take(self, positions, indices=None) -> "CounterfactualBatch":
+        """The rows at ``positions`` (relabelled with ``indices`` if given)."""
+        taken = {name: column[positions] for name, column in self.columns().items()}
+        if indices is not None:
+            taken["indices"] = np.asarray(indices, dtype=np.int64)
+        return CounterfactualBatch(**taken)
+
+    def put(self, positions, other: "CounterfactualBatch") -> None:
+        """Overwrite the rows at ``positions`` with ``other``'s rows, in
+        place; ``indices`` stay as they are."""
+        for name, column in other.columns().items():
+            if name != "indices":
+                getattr(self, name)[positions] = column
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, k: int) -> Counterfactual | None:
+        if not self.has_result[k]:
+            return None
+        return Counterfactual(
+            original=self.originals[k].copy(),
+            counterfactual=self.counterfactuals[k].copy(),
+            original_prediction=int(self.original_predictions[k]),
+            counterfactual_prediction=int(self.counterfactual_predictions[k]),
+            changed_features=tuple(np.flatnonzero(self.changed_masks[k]).tolist()),
+            distance=float(self.distances[k]),
+            feasible=bool(self.constraint_feasible[k]),
+            meta=dict(self.metas[k] or {}),
+        )
 
 
 @dataclass

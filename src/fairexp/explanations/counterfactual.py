@@ -30,7 +30,7 @@ import numpy as np
 from ..datasets.schema import FeatureSpec
 from ..exceptions import InfeasibleRecourseError, ValidationError
 from ..utils import check_random_state
-from .base import Counterfactual, ExplainerInfo, ExplainerRegistry
+from .base import Counterfactual, CounterfactualBatch, ExplainerInfo, ExplainerRegistry
 from .engine import greedy_sparsify_batch, lockstep_candidate_search
 from .kernels import batch_counterfactual_distance, project_candidates
 from .schedules import resolve_schedule
@@ -256,34 +256,31 @@ class BaseCounterfactualGenerator:
         return np.asarray(self.model.predict(np.atleast_2d(X)))
 
     def _make_results_batch(self, X_rows: np.ndarray, candidates: np.ndarray
-                            ) -> list[Counterfactual]:
-        """Build :class:`Counterfactual` results for many rows with two
-        predict calls (originals + counterfactuals) instead of two per row."""
-        X_rows = np.atleast_2d(np.asarray(X_rows, dtype=float))
+                            ) -> CounterfactualBatch:
+        """Project ``candidates`` and build their result columns, with two
+        predict calls (originals + counterfactuals) for all rows."""
+        X_rows = np.array(X_rows, dtype=float, ndmin=2)
         candidates = self.constraints.project(
             X_rows, np.atleast_2d(np.asarray(candidates, dtype=float))
         )
         original_predictions = self._predict(X_rows)
         counterfactual_predictions = self._predict(candidates)
         feasible = self.constraints.is_feasible(X_rows, candidates)
-        changed_matrix = ~np.isclose(candidates, X_rows)
+        changed_masks = ~np.isclose(candidates, X_rows)
         distances = batch_counterfactual_distance(
             X_rows, candidates, scale=self.scale_, metric=self.metric
         )
-        results = []
-        for k in range(X_rows.shape[0]):
-            x, candidate = X_rows[k], candidates[k]
-            changed = tuple(int(j) for j in np.flatnonzero(changed_matrix[k]))
-            results.append(Counterfactual(
-                original=x.copy(),
-                counterfactual=candidate.copy(),
-                original_prediction=int(original_predictions[k]),
-                counterfactual_prediction=int(counterfactual_predictions[k]),
-                changed_features=changed,
-                distance=float(distances[k]),
-                feasible=bool(feasible[k]),
-            ))
-        return results
+        return CounterfactualBatch(
+            indices=np.arange(X_rows.shape[0], dtype=np.int64),
+            has_result=np.ones(X_rows.shape[0], dtype=bool),
+            originals=X_rows,
+            counterfactuals=candidates,
+            original_predictions=original_predictions.astype(np.int64),
+            counterfactual_predictions=counterfactual_predictions.astype(np.int64),
+            distances=distances,
+            constraint_feasible=np.asarray(feasible, dtype=bool),
+            changed_masks=changed_masks,
+        )
 
     def _make_result(self, x: np.ndarray, candidate: np.ndarray) -> Counterfactual:
         return self._make_results_batch(
@@ -307,12 +304,12 @@ class BaseCounterfactualGenerator:
         """Return one counterfactual for ``x``; raises if none is found."""
         raise NotImplementedError
 
-    def generate_batch_aligned(self, X: np.ndarray) -> list[Counterfactual | None]:
+    def generate_batch_aligned(self, X: np.ndarray) -> CounterfactualBatch:
         """Counterfactuals for every row of ``X``, aligned with the rows.
 
-        Rows whose search budget is exhausted map to ``None``.  Subclasses
-        with a vectorized cross-instance kernel override this; the fallback
-        simply loops :meth:`generate`.
+        Rows whose search budget is exhausted have no result (``None`` when
+        indexed).  Subclasses with a vectorized cross-instance kernel
+        override this; the fallback simply loops :meth:`generate`.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         results: list[Counterfactual | None] = []
@@ -321,7 +318,8 @@ class BaseCounterfactualGenerator:
                 results.append(self.generate(X[i]))
             except InfeasibleRecourseError:
                 results.append(None)
-        return results
+        return CounterfactualBatch.from_counterfactuals(range(X.shape[0]), results,
+                                                        X.shape[1])
 
     def generate_batch(self, X: np.ndarray, *, skip_failures: bool = True) -> list[Counterfactual]:
         """Generate counterfactuals for many instances.
@@ -330,26 +328,63 @@ class BaseCounterfactualGenerator:
         ``skip_failures`` infeasible instances are dropped instead of raising.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        predictions = self._predict(X)
-        pending = np.flatnonzero(predictions != self.target_class)
-        aligned = self.generate_batch_aligned(X[pending]) if pending.size else []
-        results = []
-        for row, result in zip(pending, aligned):
-            if result is None:
-                if not skip_failures:
-                    raise InfeasibleRecourseError(
-                        f"no counterfactual found for instance {int(row)} "
-                        "within the search budget"
-                    )
-                continue
-            results.append(result)
-        return results
+        pending = np.flatnonzero(self._predict(X) != self.target_class)
+        if pending.size == 0:
+            return []
+        aligned = self.generate_batch_aligned(X[pending])
+        if not skip_failures and not aligned.has_result.all():
+            row = int(pending[np.argmin(aligned.has_result)])
+            raise InfeasibleRecourseError(
+                f"no counterfactual found for instance {row} within the search budget"
+            )
+        return [result for result in aligned if result is not None]
+
+
+class _LadderCounterfactualGenerator(BaseCounterfactualGenerator):
+    """The sampling generators' search: each rung of :meth:`draw_schedule`
+    draws a subclass's ``_offsets(rng, rung)`` block around the instance,
+    projects it and keeps the nearest hit, then sparsifies it.  Subclasses
+    name the ``InfeasibleRecourseError`` of a ladder that missed in
+    ``_exhausted``."""
+
+    def _draw(self, rng, x: np.ndarray, step: int) -> np.ndarray:
+        return x[None, :] + self._offsets(rng, step)
+
+    def generate(self, x: np.ndarray) -> Counterfactual:
+        """One counterfactual for ``x`` via the widening rung ladder.
+
+        This sequential reference path always walks the full fixed ladder
+        (rung 0, 1, 2, …); the pluggable ``schedule`` only drives the
+        batched :meth:`generate_batch_aligned` search.
+        """
+        x = np.asarray(x, dtype=float).ravel()
+        rng = check_random_state(self.random_state)
+        for step in range(len(self.draw_schedule())):
+            candidates = self.constraints.project(x, self._draw(rng, x, step))
+            hits = np.flatnonzero(self._predict(candidates) == self.target_class)
+            if hits.size:
+                distances = batch_counterfactual_distance(
+                    x, candidates[hits], scale=self.scale_, metric=self.metric
+                )
+                best = self._sparsify(x, candidates[hits[np.argmin(distances)]])
+                return self._make_result(x, best)
+        raise InfeasibleRecourseError(self._exhausted)
+
+    def generate_batch_aligned(self, X: np.ndarray) -> CounterfactualBatch:
+        """Row-aligned counterfactuals via the cross-instance lockstep kernel,
+        probing the rung ladder in the order this generator's ``schedule``
+        plans."""
+        return lockstep_candidate_search(self, X, self._offsets,
+                                         len(self.draw_schedule()),
+                                         schedule=self.schedule)
 
 
 @ExplainerRegistry.register("random_search", capabilities=("counterfactual-generator",),
                             data_requirements=("feature-specs",))
-class RandomSearchCounterfactual(BaseCounterfactualGenerator):
+class RandomSearchCounterfactual(_LadderCounterfactualGenerator):
     """Rejection sampling with a growing Gaussian radius plus greedy sparsification."""
+
+    _exhausted = "random search found no counterfactual within the radius"
 
     def __init__(self, model, background, *, n_samples: int = 300, max_radius: float = 4.0,
                  n_radii: int = 8, **kwargs) -> None:
@@ -371,45 +406,13 @@ class RandomSearchCounterfactual(BaseCounterfactualGenerator):
         shape = (self.n_samples, self.scale_.shape[0])
         return rng.normal(0.0, self._radii()[step], shape) * self.scale_
 
-    def _draw(self, rng, x: np.ndarray, step: int) -> np.ndarray:
-        return x[None, :] + self._offsets(rng, step)
-
-    def generate(self, x: np.ndarray) -> Counterfactual:
-        """One counterfactual for ``x`` via widening rejection sampling.
-
-        This sequential reference path always walks the full fixed ladder
-        (rung 0, 1, 2, …); the pluggable ``schedule`` only drives the
-        batched :meth:`generate_batch_aligned` search.
-        """
-        x = np.asarray(x, dtype=float).ravel()
-        rng = check_random_state(self.random_state)
-        for step in range(len(self.draw_schedule())):
-            candidates = self.constraints.project(x, self._draw(rng, x, step))
-            predictions = self._predict(candidates)
-            hits = np.flatnonzero(predictions == self.target_class)
-            if hits.size == 0:
-                continue
-            distances = batch_counterfactual_distance(
-                x, candidates[hits], scale=self.scale_, metric=self.metric
-            )
-            best = candidates[hits[np.argmin(distances)]]
-            best = self._sparsify(x, best)
-            return self._make_result(x, best)
-        raise InfeasibleRecourseError("random search found no counterfactual within the radius")
-
-    def generate_batch_aligned(self, X: np.ndarray) -> list[Counterfactual | None]:
-        """Row-aligned counterfactuals via the cross-instance lockstep kernel,
-        probing the radius ladder in the order this generator's ``schedule``
-        plans."""
-        return lockstep_candidate_search(self, X, self._offsets,
-                                         len(self.draw_schedule()),
-                                         schedule=self.schedule)
-
 
 @ExplainerRegistry.register("growing_spheres", capabilities=("counterfactual-generator",),
                             data_requirements=("feature-specs",))
-class GrowingSpheresCounterfactual(BaseCounterfactualGenerator):
+class GrowingSpheresCounterfactual(_LadderCounterfactualGenerator):
     """Growing-spheres search: uniform sampling in expanding L2 shells."""
+
+    _exhausted = "growing spheres exhausted the search radius"
 
     def __init__(self, model, background, *, n_samples_per_shell: int = 200,
                  initial_radius: float = 0.1, growth: float = 1.5, max_shells: int = 12,
@@ -444,39 +447,6 @@ class GrowingSpheresCounterfactual(BaseCounterfactualGenerator):
         directions /= np.linalg.norm(directions, axis=1, keepdims=True) + 1e-12
         radii = rng.uniform(inner, outer, self.n_samples_per_shell)
         return directions * radii[:, None] * self.scale_
-
-    def _draw(self, rng, x: np.ndarray, step: int) -> np.ndarray:
-        return x[None, :] + self._offsets(rng, step)
-
-    def generate(self, x: np.ndarray) -> Counterfactual:
-        """One counterfactual for ``x`` via expanding L2 shells.
-
-        This sequential reference path always walks the full fixed ladder
-        (innermost shell outward); the pluggable ``schedule`` only drives
-        the batched :meth:`generate_batch_aligned` search.
-        """
-        x = np.asarray(x, dtype=float).ravel()
-        rng = check_random_state(self.random_state)
-        for step in range(len(self.draw_schedule())):
-            candidates = self.constraints.project(x, self._draw(rng, x, step))
-            predictions = self._predict(candidates)
-            hits = np.flatnonzero(predictions == self.target_class)
-            if hits.size > 0:
-                distances = batch_counterfactual_distance(
-                    x, candidates[hits], scale=self.scale_, metric=self.metric
-                )
-                best = candidates[hits[np.argmin(distances)]]
-                best = self._sparsify(x, best)
-                return self._make_result(x, best)
-        raise InfeasibleRecourseError("growing spheres exhausted the search radius")
-
-    def generate_batch_aligned(self, X: np.ndarray) -> list[Counterfactual | None]:
-        """Row-aligned counterfactuals via the cross-instance lockstep kernel,
-        probing the shell ladder in the order this generator's ``schedule``
-        plans."""
-        return lockstep_candidate_search(self, X, self._offsets,
-                                         len(self.draw_schedule()),
-                                         schedule=self.schedule)
 
 
 @ExplainerRegistry.register(
@@ -537,7 +507,7 @@ class GradientCounterfactual(BaseCounterfactualGenerator):
             return self._make_result(x, candidate)
         raise InfeasibleRecourseError("gradient search did not cross the decision boundary")
 
-    def generate_batch_aligned(self, X: np.ndarray) -> list[Counterfactual | None]:
+    def generate_batch_aligned(self, X: np.ndarray) -> CounterfactualBatch:
         """Cross-instance gradient ascent: all still-unsolved instances share
         one predict and one ``gradient_input`` call per iteration."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -546,15 +516,14 @@ class GradientCounterfactual(BaseCounterfactualGenerator):
         sign = 1.0 if self.target_class == 1 else -1.0
         anchor = self._anchor()
         unsolved = np.arange(n_instances)
-        solved: dict[int, np.ndarray] = {}     # crossed mid-loop -> sparsified
-        exhausted: dict[int, np.ndarray] = {}  # crossed only at the budget check
+        # Rows crossing mid-loop keep their candidate and are sparsified;
+        # rows crossing only at the budget check are not.
+        solved = np.zeros(n_instances, dtype=bool)
         for _ in range(self.max_iter):
             if unsolved.size == 0:
                 break
-            predictions = self._predict(candidates[unsolved])
-            crossed = predictions == self.target_class
-            for i in unsolved[crossed]:
-                solved[int(i)] = candidates[i].copy()
+            crossed = self._predict(candidates[unsolved]) == self.target_class
+            solved[unsolved[crossed]] = True
             unsolved = unsolved[~crossed]
             if unsolved.size == 0:
                 break
@@ -566,19 +535,13 @@ class GradientCounterfactual(BaseCounterfactualGenerator):
                 X[unsolved], candidates[unsolved] + steps
             )
         if unsolved.size:
-            predictions = self._predict(candidates[unsolved])
-            for i in unsolved[predictions == self.target_class]:
-                exhausted[int(i)] = candidates[i].copy()
+            unsolved = unsolved[self._predict(candidates[unsolved]) == self.target_class]
 
-        results: list[Counterfactual | None] = [None] * n_instances
-        if solved:
-            rows = sorted(solved)
-            sparse = greedy_sparsify_batch(self, X[rows], np.stack([solved[i] for i in rows]))
-            for i, result in zip(rows, self._make_results_batch(X[rows], sparse)):
-                results[i] = result
-        if exhausted:
-            rows = sorted(exhausted)
-            made = self._make_results_batch(X[rows], np.stack([exhausted[i] for i in rows]))
-            for i, result in zip(rows, made):
-                results[i] = result
+        results = CounterfactualBatch.empty(n_instances, X.shape[1])
+        rows = np.flatnonzero(solved)
+        if rows.size:
+            sparse = greedy_sparsify_batch(self, X[rows], candidates[rows])
+            results.put(rows, self._make_results_batch(X[rows], sparse))
+        if unsolved.size:
+            results.put(unsolved, self._make_results_batch(X[unsolved], candidates[unsolved]))
         return results

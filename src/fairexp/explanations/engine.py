@@ -49,7 +49,7 @@ from .backends import (
     NumpyPredictBackend,
     ensure_backend,
 )
-from .base import Counterfactual
+from .base import Counterfactual, CounterfactualBatch
 from .kernels import (
     batch_counterfactual_distance,
     build_prefix_revert_trials,
@@ -295,7 +295,7 @@ def lockstep_candidate_search(
     offsets: Callable[[np.random.Generator, int], np.ndarray],
     n_steps: int,
     schedule: SearchSchedule | None = None,
-) -> list[Counterfactual | None]:
+) -> CounterfactualBatch:
     """Cross-instance rejection-sampling search over a pluggable rung schedule.
 
     All instances advance through the radius/shell ladder in lockstep: one
@@ -391,13 +391,12 @@ def lockstep_candidate_search(
     record = getattr(generator, "add_search_counts", None)
     if record is not None:
         record(steps_taken, draws_issued)
-    results: list[Counterfactual | None] = [None] * n_instances
+    results = CounterfactualBatch.empty(n_instances, n_features)
     solved = sorted(best)
     if solved:
         sparse = greedy_sparsify_batch(generator, X[solved],
                                        np.stack([best[i][1] for i in solved]))
-        for i, result in zip(solved, generator._make_results_batch(X[solved], sparse)):
-            results[i] = result
+        results.put(solved, generator._make_results_batch(X[solved], sparse))
     return results
 
 
@@ -532,7 +531,7 @@ def _process_shard_spec(generator) -> dict | None:
 
 
 def _run_process_shard(spec: dict, X_shard: np.ndarray
-                       ) -> tuple[list[Counterfactual | None], int, int, int, int]:
+                       ) -> tuple[CounterfactualBatch, int, int, int, int]:
     """Worker entry point: rebuild the generator, run one shard, report counts.
 
     The worker wraps the rebuilt dispatch (bare model, or the shipped
@@ -678,14 +677,15 @@ class CounterfactualEngine:
         releases_gil = getattr(backend, "releases_gil", True)
         return "thread" if releases_gil else "process"
 
-    def generate_aligned(self, X) -> list[Counterfactual | None]:
-        """Counterfactuals for every row of ``X`` (``None`` where infeasible).
+    def generate_aligned(self, X) -> CounterfactualBatch:
+        """Counterfactuals for every row of ``X``, one batch row per row
+        (without a result where infeasible).
 
         With ``n_jobs > 1`` the work-list is split into deterministic shards
         executed on a worker pool — threads against the shared (thread-safe)
         backend, or processes rebuilding the generator from a picklable
-        shard spec (see the ``executor`` parameter) — and the aligned
-        per-shard results are merged back into caller order.
+        shard spec (see the ``executor`` parameter).  Shards are contiguous
+        ranges, so their batches concatenate back into caller order.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         n_jobs = self._resolve_n_jobs(X.shape[0])
@@ -711,14 +711,12 @@ class CounterfactualEngine:
                 # re-raise semantics as a raw executor map.
                 with ExecutorPool(max_workers=len(shards)) as pool:
                     parts = pool.map("thread", run_shard, shards)
-        results: list[Counterfactual | None] = [None] * X.shape[0]
-        for shard, part in zip(shards, parts):
-            for i, result in zip(shard, part):
-                results[int(i)] = result
-        return results
+        merged = CounterfactualBatch.concat(parts)
+        merged.indices = np.arange(X.shape[0], dtype=np.int64)
+        return merged
 
     def _run_shards_in_processes(self, X: np.ndarray, shards: list[np.ndarray]
-                                 ) -> list[list[Counterfactual | None]] | None:
+                                 ) -> list[CounterfactualBatch] | None:
         """Run shards on a process pool; ``None`` means fall back to threads.
 
         Each worker rebuilds the generator from the shard spec, so the
@@ -768,12 +766,6 @@ class CounterfactualEngine:
         repeated index never pays for — or runs — a second search of the
         same row.
         """
-        X = np.asarray(X, dtype=float)
-        indices = np.asarray(indices, dtype=int)
-        if indices.size == 0:
-            return {}
-        distinct = list(dict.fromkeys(int(i) for i in indices))
-        results = self.generate_aligned(X[distinct])
-        return {
-            i: result for i, result in zip(distinct, results) if result is not None
-        }
+        distinct = list(dict.fromkeys(np.asarray(indices, dtype=int).ravel().tolist()))
+        results = self.generate_aligned(np.asarray(X, dtype=float)[distinct]) if distinct else []
+        return {i: result for i, result in zip(distinct, results) if result is not None}

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..exceptions import ValidationError
 from .backends import MemoizingPredictBackend, ensure_backend
-from .base import Counterfactual
+from .base import Counterfactual, CounterfactualBatch
 from .engine import BatchModelAdapter, CounterfactualEngine
 from .pool import ExecutorPool
 from .schedules import resolve_schedule
@@ -219,8 +219,10 @@ class AuditSession:
         # Predict calls attributable to engine generation passes (excludes
         # the audits' own scoring traffic) — 0 on a fully warm start.
         self.engine_predict_call_count = 0
-        # population key -> {row index -> Counterfactual | None (infeasible)}
-        self._results: dict[str, dict[int, Counterfactual | None]] = {}
+        # population key -> (one batch row per population row, mask of the
+        # rows already searched; a searched row without a result is
+        # remembered as infeasible)
+        self._results: dict[str, tuple[CounterfactualBatch, np.ndarray]] = {}
         # population key -> (schedule observed at compute time, fingerprint);
         # cleared with the results, since a refit invalidates both.  The
         # schedule rides along because another session sharing this
@@ -363,16 +365,15 @@ class AuditSession:
         digest = hashlib.sha1(X.tobytes()).hexdigest()
         return f"{X.shape[0]}x{X.shape[1]}:{digest}"
 
-    def counterfactuals_for(self, X, indices) -> dict[int, Counterfactual]:
-        """Counterfactuals for ``X[indices]``, keyed by row index, shared across audits.
+    def results_for(self, X, indices) -> CounterfactualBatch:
+        """Results for ``X[indices]``, one batch row per index (duplicates
+        kept), shared across audits.
 
         Rows already explained for this population (by *any* earlier audit
         in the session) are served from the result cache — including rows
         whose search exhausted its budget, which are remembered as
-        infeasible and never retried.  Only genuinely new rows trigger an
-        engine pass.  Rows without a feasible counterfactual are absent from
-        the returned mapping, mirroring
-        :meth:`~fairexp.explanations.engine.CounterfactualEngine.generate_for`.
+        infeasible (``has_result`` is ``False``) and never retried.  Only
+        genuinely new rows trigger an engine pass.
         """
         if self.engine is None:
             raise ValidationError(
@@ -380,11 +381,44 @@ class AuditSession:
             )
         self._check_open()
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        indices = np.asarray(indices, dtype=int)
+        indices = np.asarray(indices, dtype=np.int64).ravel()
         if indices.size == 0:
-            return {}
+            return CounterfactualBatch.empty(0, X.shape[1])
         key = self.population_key(X)
-        if key not in self._results and len(self._results) >= self.max_populations:
+        batch, searched = self._population(key, X)
+        # Dedupe while preserving order: a duplicated index must not trigger
+        # (or pay for) two searches of the same row.
+        _, first = np.unique(indices, return_index=True)
+        distinct = indices[np.sort(first)]
+        missing = distinct[~searched[distinct]]
+        self.result_reuse_count += int(distinct.size - missing.size)
+        if missing.size:
+            calls_before = self._adapter.predict_call_count
+            batch.put(missing, self.engine.generate_aligned(X[missing]))
+            searched[missing] = True
+            self.engine_predict_call_count += (
+                self._adapter.predict_call_count - calls_before
+            )
+            self._publish_to_store(key, X, batch, searched)
+        return batch.take(indices, indices=indices)
+
+    def counterfactuals_for(self, X, indices) -> dict[int, Counterfactual]:
+        """Counterfactuals for ``X[indices]``, keyed by row index, shared across audits.
+
+        The per-row view of :meth:`results_for`: rows without a feasible
+        counterfactual are absent from the returned mapping, mirroring
+        :meth:`~fairexp.explanations.engine.CounterfactualEngine.generate_for`.
+        """
+        batch = self.results_for(X, indices)
+        return {int(batch.indices[k]): batch[k] for k in np.flatnonzero(batch.has_result)}
+
+    def _population(self, key: str, X: np.ndarray
+                    ) -> tuple[CounterfactualBatch, np.ndarray]:
+        """The cached ``(batch, searched)`` pair of population ``X``,
+        created (and warmed from the store) on first touch."""
+        if key in self._results:
+            return self._results[key]
+        if len(self._results) >= self.max_populations:
             # Bound the result cache like the predict memo: evict the oldest
             # population (audits of one sweep share a handful of populations;
             # unbounded growth only hurts long-lived multi-population sessions).
@@ -398,26 +432,17 @@ class AuditSession:
                 # re-touched population has to do the disk read-back merge
                 # again or it would silently drop rows from the store entry.
                 self._published_fingerprints.discard(memo[1])
-        first_touch = key not in self._results
-        cache = self._results.setdefault(key, {})
-        if first_touch:
-            self._seed_from_store(key, X, cache)
-        # Dedupe while preserving order: a duplicated index must not trigger
-        # (or pay for) two searches of the same row.
-        distinct = list(dict.fromkeys(int(i) for i in indices))
-        missing = np.asarray([i for i in distinct if i not in cache], dtype=int)
-        self.result_reuse_count += len(distinct) - int(missing.size)
-        if missing.size:
-            calls_before = self._adapter.predict_call_count
-            for i, result in zip(missing, self.engine.generate_aligned(X[missing])):
-                cache[int(i)] = result
-            self.engine_predict_call_count += (
-                self._adapter.predict_call_count - calls_before
-            )
-            self._publish_to_store(key, X, cache)
-        return {
-            int(i): cache[int(i)] for i in indices if cache[int(i)] is not None
-        }
+        batch, searched = population = (CounterfactualBatch.empty(*X.shape),
+                                        np.zeros(X.shape[0], dtype=bool))
+        self._results[key] = population
+        # Warm the new population from the persistent store.
+        fingerprint = self._store_fingerprint(key, X) if self.store is not None else None
+        stored = self.store.load(fingerprint) if fingerprint is not None else None
+        if stored:
+            batch.put(stored.indices, stored)
+            searched[stored.indices] = True
+            self.store_row_hits += len(stored)
+        return population
 
     def _store_fingerprint(self, key: str, X: np.ndarray) -> str | None:
         """Store fingerprint for a population, memoized per population key.
@@ -434,27 +459,15 @@ class AuditSession:
             self._store_fingerprints[key] = memo
         return memo[1]
 
-    def _seed_from_store(self, key: str, X: np.ndarray,
-                         cache: dict[int, Counterfactual | None]) -> None:
-        """Warm a population's in-memory cache from the persistent store."""
-        if self.store is None:
-            return
-        fingerprint = self._store_fingerprint(key, X)
-        if fingerprint is None:
-            return
-        stored = self.store.load(fingerprint)
-        if stored:
-            cache.update(stored)
-            self.store_row_hits += len(stored)
-
-    def _publish_to_store(self, key: str, X: np.ndarray,
-                          cache: dict[int, Counterfactual | None]) -> None:
-        """Persist a population's results after an engine pass added rows."""
+    def _publish_to_store(self, key: str, X: np.ndarray, batch: CounterfactualBatch,
+                          searched: np.ndarray) -> None:
+        """Persist a population's searched rows after an engine pass added rows."""
         if self.store is None:
             return
         fingerprint = self._store_fingerprint(key, X)
         if fingerprint is not None:
-            self.store.save(fingerprint, cache, n_features=X.shape[1],
+            rows = np.flatnonzero(searched)
+            self.store.save(fingerprint, batch.take(rows, indices=rows),
                             merge=fingerprint not in self._published_fingerprints)
             self._published_fingerprints.add(fingerprint)
 
@@ -480,10 +493,9 @@ class AuditSession:
     # ------------------------------------------------------------ accounting
     def stats(self) -> dict[str, int]:
         """Session-wide sharing statistics (for benchmarks and reports)."""
-        n_cached = sum(len(rows) for rows in self._results.values())
-        n_infeasible = sum(
-            1 for rows in self._results.values() for r in rows.values() if r is None
-        )
+        n_cached = sum(int(searched.sum()) for _, searched in self._results.values())
+        n_infeasible = sum(int((searched & ~batch.has_result).sum())
+                           for batch, searched in self._results.values())
         stats = {
             "n_populations": len(self._results),
             "n_counterfactuals_cached": n_cached - n_infeasible,
@@ -542,9 +554,7 @@ class AuditSession:
 
     def reset(self) -> None:
         """Drop all shared results and zero the predict counters."""
-        self._results.clear()
-        self._store_fingerprints.clear()
-        self._published_fingerprints.clear()
+        self.reset_results()
         self._adapter.reset_counts()
         if self.store is not None:
             self.store.reset_counts()

@@ -23,11 +23,13 @@ keyed by a :func:`population_fingerprint` — a SHA-256 digest folding together
 * the **fingerprint and fairexp release versions**, so semantic key changes
   and search-kernel changes retire old entries instead of serving them.
 
-On disk each entry is a compressed ``.npz`` payload (stacked counterfactual
-matrices and per-row metadata) plus a JSON manifest carrying the format
-version and the payload's checksum; payload-encoding evolution is read-
-compatible (version-1 uncompressed entries still load) rather than
-key-busting.  Writes are corruption-safe: payloads are
+On disk each entry is a compressed ``.npz`` payload holding the columns of
+a :class:`~fairexp.explanations.base.CounterfactualBatch` as they are, plus
+a JSON manifest carrying the format version and the payload's checksum.  A
+load hands the columns back as a batch without rebuilding any per-row
+object.  A manifest of any other format version is a miss (recompute);
+only rows with a non-empty ``meta`` are JSON-encoded.  Writes are
+corruption-safe: payloads are
 content-named and published with an atomic ``os.replace`` before the
 manifest that references them, so concurrent writers of the same fingerprint
 cannot interleave — a reader either sees a complete earlier entry or a
@@ -44,6 +46,7 @@ returns ``None`` for them and the session quietly skips the store.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -58,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from .backends import CallablePredictBackend, NumpyPredictBackend
-from .base import Counterfactual
+from .base import CounterfactualBatch
 from .engine import (
     BatchModelAdapter,
     effective_backend,
@@ -73,12 +76,13 @@ __all__ = [
     "population_fingerprint",
 ]
 
-#: Format version written into every new manifest (version 2 compresses
-#: payloads with ``np.savez_compressed``).  A manifest of any other version
+#: Format version written into every new manifest (version 3 writes a
+#: ``CounterfactualBatch``'s columns compressed, with a ``metas`` member only
+#: when some row carries a meta).  A manifest of any other version
 #: is treated as corruption (recompute): every fingerprint folds the
 #: package's source digest, so an entry written by another build can never
 #: be addressed by this one anyway.
-STORE_FORMAT_VERSION = 2
+STORE_FORMAT_VERSION = 3
 
 #: Version folded into population fingerprints.  Separate from
 #: :data:`STORE_FORMAT_VERSION` on purpose: the payload encoding and what a
@@ -388,77 +392,30 @@ def population_fingerprint(generator, X) -> str | None:
 # --------------------------------------------------------------------------
 # Serialization
 # --------------------------------------------------------------------------
-def _pack_results(results: dict[int, Counterfactual | None], n_features: int) -> dict:
-    """Stack a per-row result mapping into the arrays one ``.npz`` holds.
-
-    Raises ``TypeError`` when some row's ``meta`` is not JSON-serializable —
-    persisting it would silently return different objects on the warm path,
-    so the caller skips the save instead (fidelity over persistence).
-    """
-    indices = np.asarray(sorted(results), dtype=np.int64)
-    n = indices.size
-    metas = ["{}"] * n
-    packed = {
-        "indices": indices,
-        "has_result": np.zeros(n, dtype=bool),
-        "originals": np.full((n, n_features), np.nan),
-        "counterfactuals": np.full((n, n_features), np.nan),
-        "original_predictions": np.zeros(n, dtype=np.int64),
-        "counterfactual_predictions": np.zeros(n, dtype=np.int64),
-        "distances": np.full(n, np.nan),
-        "constraint_feasible": np.zeros(n, dtype=bool),
-        "changed_masks": np.zeros((n, n_features), dtype=bool),
-    }
-    for k, index in enumerate(indices):
-        result = results[int(index)]
-        if result is None:  # remembered-infeasible row
-            continue
-        packed["has_result"][k] = True
-        packed["originals"][k] = np.asarray(result.original, dtype=float)
-        packed["counterfactuals"][k] = np.asarray(result.counterfactual, dtype=float)
-        packed["original_predictions"][k] = int(result.original_prediction)
-        packed["counterfactual_predictions"][k] = int(result.counterfactual_prediction)
-        packed["distances"][k] = float(result.distance)
-        packed["constraint_feasible"][k] = bool(result.feasible)
-        packed["changed_masks"][k, list(result.changed_features)] = True
-        encoded_meta = json.dumps(result.meta, sort_keys=True)
-        if json.loads(encoded_meta) != result.meta:
-            # JSON silently coerces e.g. int dict keys to strings; a warm
-            # load would then return different meta than the cold path.
-            raise ValueError("meta does not survive a JSON round trip")
-        metas[k] = encoded_meta
-    packed["metas"] = np.asarray(metas)
-    return packed
+def _encode_metas(metas: np.ndarray) -> np.ndarray:
+    """JSON text per row meta (``""`` for none).  Raises ``ValueError`` for
+    a meta a JSON round trip would change (JSON turns int keys into
+    strings): a warm load must not hand back other meta than the cold path."""
+    encoded = [json.dumps(meta, sort_keys=True) if meta else "" for meta in metas]
+    if any(text and json.loads(text) != meta for text, meta in zip(encoded, metas)):
+        raise ValueError("meta does not survive a JSON round trip")
+    return np.asarray(encoded)
 
 
-def _unpack_results(payload) -> dict[int, Counterfactual | None]:
-    """Rebuild the per-row result mapping from a payload's arrays.
+def _unlink(*paths: Path) -> None:
+    """Remove each path; one already gone (a concurrent process removed it)
+    or not removable is skipped, and a leftover is swept later."""
+    for path in paths:
+        with contextlib.suppress(OSError):
+            path.unlink()
 
-    ``payload`` maps member names to arrays (materialized once, not a lazy
-    ``NpzFile`` — indexing one of those per row would re-inflate the whole
-    member on every access).
-    """
-    results: dict[int, Counterfactual | None] = {}
-    indices = payload["indices"]
-    has_result = payload["has_result"]
-    for k, index in enumerate(indices):
-        if not has_result[k]:
-            results[int(index)] = None
-            continue
-        meta = json.loads(str(payload["metas"][k]))
-        results[int(index)] = Counterfactual(
-            original=np.array(payload["originals"][k], dtype=float),
-            counterfactual=np.array(payload["counterfactuals"][k], dtype=float),
-            original_prediction=int(payload["original_predictions"][k]),
-            counterfactual_prediction=int(payload["counterfactual_predictions"][k]),
-            changed_features=tuple(
-                int(j) for j in np.flatnonzero(payload["changed_masks"][k])
-            ),
-            distance=float(payload["distances"][k]),
-            feasible=bool(payload["constraint_feasible"][k]),
-            meta=meta,
-        )
-    return results
+
+def _latest_rows(batch: CounterfactualBatch) -> CounterfactualBatch:
+    """One row per index, sorted by index; the last row wins for a repeated one."""
+    if np.all(np.diff(batch.indices) > 0):
+        return batch
+    _, last = np.unique(batch.indices[::-1], return_index=True)
+    return batch.take(len(batch) - 1 - last)
 
 
 # --------------------------------------------------------------------------
@@ -551,8 +508,9 @@ class CounterfactualStore:
     def entry_details(self) -> list[dict]:
         """Per-entry metadata for inspection: one dict per published entry.
 
-        Each dict carries ``fingerprint``, ``n_rows``, ``n_features``,
-        ``bytes`` (manifest + payload), ``age_seconds`` (since the last
+        Each dict carries ``fingerprint``, ``payload`` (its file name),
+        ``n_rows``, ``n_features``, ``bytes`` (manifest + payload),
+        ``age_seconds`` (since the last
         recency bump — the quantity LRU eviction orders on),
         ``updated_at`` and ``format_version``.  Entries racing a concurrent
         writer are skipped rather than reported half-read; ordering is by
@@ -565,7 +523,8 @@ class CounterfactualStore:
             try:
                 manifest = json.loads(manifest_path.read_text())
                 size = manifest_path.stat().st_size
-                payload_path = self.directory / str(manifest.get("payload", ""))
+                payload_name = str(manifest.get("payload", ""))
+                payload_path = self.directory / payload_name
                 if payload_path.exists():
                     size += payload_path.stat().st_size
                 age = max(0.0, now - manifest_path.stat().st_mtime)
@@ -573,6 +532,7 @@ class CounterfactualStore:
                 continue  # torn concurrent write; the next call sees it settled
             details.append({
                 "fingerprint": manifest_path.stem,
+                "payload": payload_name,
                 "n_rows": int(manifest.get("n_rows", 0)),
                 "n_features": int(manifest.get("n_features", 0)),
                 "bytes": int(size),
@@ -624,7 +584,7 @@ class CounterfactualStore:
         return removed
 
     # ----------------------------------------------------------------- read
-    def _read(self, fingerprint: str) -> dict[int, Counterfactual | None] | None:
+    def _read(self, fingerprint: str) -> CounterfactualBatch | None:
         """Validated read of one entry; ``None`` on absence or corruption.
 
         Corrupt state (unparsable manifest, missing payload, checksum or
@@ -650,10 +610,14 @@ class CounterfactualStore:
             if hashlib.sha256(blob).hexdigest() != manifest["payload_sha256"]:
                 raise ValueError("payload checksum mismatch")
             # Parse the checksummed bytes (not a second read of the file)
-            # and inflate each member exactly once before the row loop.
+            # and inflate each member exactly once.
             with np.load(io.BytesIO(blob)) as payload:
                 arrays = {name: payload[name] for name in payload.files}
-            results = _unpack_results(arrays)
+            if "metas" in arrays:  # see _encode_metas
+                arrays["metas"] = np.asarray([json.loads(text) if text else None
+                                              for text in arrays["metas"].tolist()],
+                                             dtype=object)
+            results = CounterfactualBatch(**arrays)
             if len(results) != int(manifest["n_rows"]):
                 raise ValueError("row count mismatch")
         except (OSError, KeyError, ValueError, TypeError, IndexError):
@@ -678,8 +642,9 @@ class CounterfactualStore:
         if current_text == observed_text:
             self.discard(fingerprint)
 
-    def load(self, fingerprint: str) -> dict[int, Counterfactual | None] | None:
-        """Results for one fingerprint, or ``None`` on a miss.
+    def load(self, fingerprint: str) -> CounterfactualBatch | None:
+        """Results for one fingerprint (rows sorted by index), or ``None``
+        on a miss.
 
         A hit bumps the entry's recency (manifest mtime), which is what the
         LRU eviction orders on.
@@ -696,12 +661,13 @@ class CounterfactualStore:
         return results
 
     # ---------------------------------------------------------------- write
-    def save(self, fingerprint: str, results: dict[int, Counterfactual | None],
-             *, n_features: int, merge: bool = True) -> None:
+    def save(self, fingerprint: str, results: CounterfactualBatch, *,
+             merge: bool = True) -> None:
         """Publish (or extend) one population entry atomically.
 
-        With ``merge`` (the default) rows already on disk are folded in
-        first, so sessions that explain a population incrementally — burden
+        The batch's columns are written as they are, one row per index
+        (sorted; the last row wins for a repeated index).  With ``merge``
+        (the default) rows already on disk are folded in first, so sessions that explain a population incrementally — burden
         first, a later audit adding rows — grow one entry instead of losing
         the earlier rows.  The payload is written and ``os.replace``-d
         before the manifest referencing it, so a concurrent reader never
@@ -714,19 +680,24 @@ class CounterfactualStore:
         the losing rows are recomputed (and re-merged) on the next touch.
         Within one process the session serializes its own saves.
         """
-        if not results:
+        if not len(results):
             return
         if merge:
             existing = self._read(fingerprint)
             if existing:
-                results = {**existing, **results}
-        try:
-            packed = _pack_results(results, n_features)
-        except (TypeError, ValueError):
-            # Some row carries non-JSON-serializable meta: persisting it
-            # would hand the warm path different objects than the cold path
-            # returned.  Skip the save — a miss and recompute is always safe.
-            return
+                results = CounterfactualBatch.concat([existing, results])
+        results = _latest_rows(results)
+        packed = results.columns()
+        metas = packed.pop("metas")
+        if any(metas):
+            try:
+                packed["metas"] = _encode_metas(metas)
+            except (TypeError, ValueError):
+                # Some row carries non-JSON-serializable meta: persisting it
+                # would hand the warm path different objects than the cold
+                # path returned.  Skip the save — a miss and recompute is
+                # always safe.
+                return
         token = os.urandom(4).hex()
         payload_path = self._payload_path(fingerprint, token)
         temp_payload = payload_path.with_suffix(f".tmp-{os.getpid()}-{token}")
@@ -743,7 +714,7 @@ class CounterfactualStore:
             "payload": payload_path.name,
             "payload_sha256": hashlib.sha256(blob).hexdigest(),
             "n_rows": len(results),
-            "n_features": int(n_features),
+            "n_features": int(results.originals.shape[1]),
             "updated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }
         temp_manifest = self._manifest_path(fingerprint).with_suffix(
@@ -760,22 +731,13 @@ class CounterfactualStore:
             # never a reason to abort the audit.  The payload may already be
             # published under its token-derived name, which only this writer
             # owns, so it goes too: no manifest will ever reference it.
-            for leftover in (temp_payload, temp_manifest, payload_path):
-                try:
-                    leftover.unlink()
-                except OSError:
-                    pass
+            _unlink(temp_payload, temp_manifest, payload_path)
             return
         self._enforce_bounds()
 
     def discard(self, fingerprint: str) -> None:
         """Remove one entry (manifest plus any payloads bearing its name)."""
-        for path in [self._manifest_path(fingerprint),
-                     *self.directory.glob(f"{fingerprint}.*.npz")]:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        _unlink(self._manifest_path(fingerprint), *self.directory.glob(f"{fingerprint}.*.npz"))
 
     def clear(self) -> None:
         """Remove every entry (manifests, payloads, leftover temp files).
@@ -784,17 +746,8 @@ class CounterfactualStore:
         clearing the *store* is not a license to delete someone else's
         bookkeeping.
         """
-        for path in self._entry_manifests():
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        for pattern in ("*.npz", "*.tmp-*"):
-            for path in self.directory.glob(pattern):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+        _unlink(*self._entry_manifests(), *self.directory.glob("*.npz"),
+                *self.directory.glob("*.tmp-*"))
 
     # ------------------------------------------------------------- eviction
     def _enforce_bounds(self) -> None:
@@ -820,27 +773,14 @@ class CounterfactualStore:
         # expensive full parse.
         if len(manifests) <= self.max_entries and quick_total <= self.max_bytes:
             return
-        entries: list[tuple[float, str, int]] = []  # (mtime, fingerprint, bytes)
-        referenced: set[str] = set()
-        for manifest_path in self._entry_manifests():
-            try:
-                manifest = json.loads(manifest_path.read_text())
-                payload_name = str(manifest.get("payload", ""))
-                referenced.add(payload_name)
-                size = manifest_path.stat().st_size
-                payload_path = self.directory / payload_name
-                if payload_path.exists():
-                    size += payload_path.stat().st_size
-                entries.append((manifest_path.stat().st_mtime, manifest_path.stem, size))
-            except (OSError, ValueError):
-                continue  # racing writer; the next sweep sees a settled state
-        entries.sort()  # oldest first
-        total = sum(size for _, _, size in entries)
+        entries = self.entry_details()  # oldest first; racing writers skipped
+        referenced = {entry["payload"] for entry in entries}
+        total = sum(entry["bytes"] for entry in entries)
         while entries and (len(entries) > self.max_entries
                            or (total > self.max_bytes and len(entries) > 1)):
-            _, fingerprint, size = entries.pop(0)
-            self.discard(fingerprint)
-            total -= size
+            oldest = entries.pop(0)
+            self.discard(oldest["fingerprint"])
+            total -= oldest["bytes"]
         now = time.time()
         # Orphans: payloads superseded by a concurrent writer, plus temp
         # files abandoned by a crashed one — both aged past the grace period.
@@ -848,11 +788,9 @@ class CounterfactualStore:
             for stale_path in self.directory.glob(pattern):
                 if stale_path.name in referenced:
                     continue
-                try:
+                with contextlib.suppress(OSError):
                     if now - stale_path.stat().st_mtime > _ORPHAN_GRACE_SECONDS:
                         stale_path.unlink()
-                except OSError:
-                    pass
 
     # ------------------------------------------------------------ reporting
     def reset_counts(self) -> None:

@@ -20,14 +20,15 @@ __all__ = [
 
 
 def precision_at_k(recommendations: np.ndarray, holdout: np.ndarray) -> float:
-    """Mean fraction of recommended items that appear in the user's holdout set."""
+    """Mean fraction of recommended items that appear in the user's holdout
+    set (0.0 for no users, like :func:`recall_at_k`)."""
     recommendations = np.asarray(recommendations, dtype=int)
     holdout = np.asarray(holdout, dtype=float)
     hits = [
         np.mean(holdout[user, recommendations[user]] > 0)
         for user in range(recommendations.shape[0])
     ]
-    return float(np.mean(hits))
+    return float(np.mean(hits)) if hits else 0.0
 
 
 def recall_at_k(recommendations: np.ndarray, holdout: np.ndarray) -> float:
@@ -108,9 +109,13 @@ def popularity_lift(
 ) -> float:
     """Average popularity of recommended items divided by average catalog popularity.
 
-    Values above 1 indicate popularity bias in the recommendations.
+    Values above 1 indicate popularity bias in the recommendations; an
+    empty recommendation list scores 0.0.
     """
+    recommended = np.asarray(recommendations, dtype=int).ravel()
+    if recommended.size == 0:
+        return 0.0
     popularity = interactions.item_popularity().astype(float)
     mean_catalog = popularity.mean()
-    recommended_popularity = popularity[np.asarray(recommendations, dtype=int).ravel()].mean()
+    recommended_popularity = popularity[recommended].mean()
     return float(safe_divide(recommended_popularity, mean_catalog, default=0.0))

@@ -1,5 +1,7 @@
 """Tests for the batched counterfactual engine, adapter and explainer registry."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,20 @@ from fairexp.explanations import (
     RandomSearchCounterfactual,
 )
 from fairexp.models import LogisticRegression
+
+
+class _DiesInWorkers:
+    """A model whose ``predict`` kills any process but the one that built
+    it: a process-sharded pass over it loses its workers mid-shard."""
+
+    def __init__(self, model):
+        self.model = model
+        self.parent_pid = os.getpid()
+
+    def predict(self, X):
+        if os.getpid() != self.parent_pid:
+            os._exit(3)
+        return self.model.predict(X)
 
 
 @pytest.fixture(scope="module")
@@ -446,6 +462,44 @@ class TestProcessExecutor:
             n_jobs=2, executor="process",
         )
         _assert_same_results(sequential, engine.generate_aligned(rejected[:6]))
+
+    def test_killed_worker_falls_back_with_exact_counters(self, loan_workload):
+        """Workers dying mid-shard degrade the pass to thread shards: the
+        merged batch equals n_jobs=1 bit for bit, the dead shards' predicts
+        are never folded into the counters, and the pool serves the next
+        process-sharded call on a fresh executor."""
+        from fairexp.explanations.pool import ExecutorPool
+
+        model, background, constraints, rejected = loan_workload
+
+        def build(dispatch, n_jobs, executor, pool=None):
+            generator = GrowingSpheresCounterfactual(
+                BatchModelAdapter(dispatch, cache=False), background,
+                constraints=constraints, random_state=0)
+            return CounterfactualEngine(generator, n_jobs=n_jobs, executor=executor,
+                                        pool=pool)
+
+        sequential = build(model, 1, "thread").generate_aligned(rejected)
+        threaded = build(model, 2, "thread")
+        threaded.generate_aligned(rejected)
+        with ExecutorPool(max_workers=2) as pool:
+            doomed = build(_DiesInWorkers(model), 2, "process", pool)
+            merged = doomed.generate_aligned(rejected)
+            for name, column in sequential.columns().items():
+                assert getattr(merged, name).tobytes() == column.tobytes(), name
+            assert pool.created_counts["process"] == 1
+            assert "process" not in pool.active_kinds()  # the broken pool is retired
+            for counter in ("predict_call_count", "search_step_count",
+                            "search_draw_count"):
+                assert getattr(doomed, counter) == getattr(threaded, counter), counter
+            assert (doomed.adapter.predict_row_count
+                    == threaded.adapter.predict_row_count)
+
+            healthy = build(model, 2, "process", pool)
+            _assert_same_results(sequential, healthy.generate_aligned(rejected))
+            assert pool.created_counts["process"] == 2
+            assert "process" in pool.active_kinds()  # ran on the fresh executor
+            assert healthy.predict_call_count == threaded.predict_call_count
 
     def test_shared_stream_generator_stays_sequential(self, loan_workload):
         model, background, constraints, rejected = loan_workload

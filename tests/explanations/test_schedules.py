@@ -220,7 +220,7 @@ class TestAdaptiveSchedule:
             generator, rejected[:3], generator._offsets,
             len(generator.draw_schedule()), schedule=StuckSchedule(),
         )
-        assert results == [None, None, None]
+        assert list(results) == [None, None, None]
         assert generator.search_step_count <= 2 * generator.max_shells + 2
 
     def test_cursor_keeps_no_cross_instance_state(self):
@@ -481,4 +481,4 @@ class TestDegenerateLadders:
         generator = _generator(NoLadderGenerator, train, model, constraints,
                                schedule=AdaptiveSchedule())
         results = generator.generate_batch_aligned(rejected[:4])
-        assert results == [None, None, None, None]
+        assert list(results) == [None, None, None, None]

@@ -105,10 +105,19 @@ class TestAuditSessionSharing:
         )
         first = session.counterfactuals_for(test.X, rejected_idx)
         calls_after_first = session.predict_call_count
+        reused_after_first = session.stats()["n_results_reused"]
         again = session.counterfactuals_for(test.X, rejected_idx[:10])
         assert session.predict_call_count == calls_after_first
+        # Rows are built from the cached columns on each read, so they are
+        # equal objects rather than the same ones.
+        assert session.stats()["n_results_reused"] == reused_after_first + 10
         for i in again:
-            assert again[i] is first[i]
+            for name in ("original", "counterfactual", "distance"):
+                assert (np.asarray(getattr(again[i], name)).tobytes()
+                        == np.asarray(getattr(first[i], name)).tobytes())
+            for name in ("original_prediction", "counterfactual_prediction",
+                         "changed_features", "feasible", "meta"):
+                assert getattr(again[i], name) == getattr(first[i], name)
 
     def test_infeasible_rows_are_not_retried(self, workload):
         dataset, train, test, model, _ = workload
@@ -500,7 +509,7 @@ class TestSessionLifecycleAndEviction:
         fingerprint = population_fingerprint(session.generator, np.atleast_2d(
             np.asarray(population_a, dtype=float)))
         stored = store.load(fingerprint)
-        assert set(stored) >= set(range(6))
+        assert set(stored.indices.tolist()) >= set(range(6))
 
     def test_backend_passthrough_routes_session_predicts(self, workload,
                                                          loan_cf_generator):

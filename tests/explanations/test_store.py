@@ -26,6 +26,7 @@ from fairexp.explanations import (
     AuditSession,
     BatchModelAdapter,
     Counterfactual,
+    CounterfactualBatch,
     CounterfactualStore,
     GrowingSpheresCounterfactual,
     RemoteScoringBackend,
@@ -70,7 +71,8 @@ def _generator(model, train, constraints, **kwargs):
     return GrowingSpheresCounterfactual(model, train.X, **params)
 
 
-def _some_results(n_features=3):
+def _some_results(n_features=3, meta=None):
+    """Row 3 has a counterfactual, row 7 is remembered as infeasible."""
     counterfactual = Counterfactual(
         original=np.arange(n_features, dtype=float),
         counterfactual=np.arange(n_features, dtype=float) + [1.0, 0.0, 0.0],
@@ -79,25 +81,27 @@ def _some_results(n_features=3):
         changed_features=(0,),
         distance=1.25,
         feasible=True,
+        meta=meta or {},
     )
-    return {3: counterfactual, 7: None}
+    return CounterfactualBatch.from_counterfactuals([3, 7], [counterfactual, None],
+                                                    n_features)
 
 
 class TestRoundTrip:
     def test_save_load_preserves_results_and_infeasible_rows(self, tmp_path):
         store = CounterfactualStore(tmp_path)
-        store.save("f" * 64, _some_results(), n_features=3)
+        store.save("f" * 64, _some_results())
         loaded = store.load("f" * 64)
-        assert set(loaded) == {3, 7}
-        assert loaded[7] is None
-        original = _some_results()[3]
-        assert np.array_equal(loaded[3].counterfactual, original.counterfactual)
-        assert np.array_equal(loaded[3].original, original.original)
-        assert loaded[3].changed_features == (0,)
-        assert loaded[3].distance == original.distance
-        assert loaded[3].original_prediction == 0
-        assert loaded[3].counterfactual_prediction == 1
-        assert loaded[3].feasible is True
+        assert loaded.indices.tolist() == [3, 7]
+        assert loaded[1] is None
+        original = _some_results()[0]
+        assert np.array_equal(loaded[0].counterfactual, original.counterfactual)
+        assert np.array_equal(loaded[0].original, original.original)
+        assert loaded[0].changed_features == (0,)
+        assert loaded[0].distance == original.distance
+        assert loaded[0].original_prediction == 0
+        assert loaded[0].counterfactual_prediction == 1
+        assert loaded[0].feasible is True
 
     def test_missing_entry_is_a_miss(self, tmp_path):
         store = CounterfactualStore(tmp_path)
@@ -107,31 +111,27 @@ class TestRoundTrip:
     def test_merge_grows_an_entry_incrementally(self, tmp_path):
         store = CounterfactualStore(tmp_path)
         results = _some_results()
-        store.save("a" * 64, {3: results[3]}, n_features=3)
-        store.save("a" * 64, {7: None}, n_features=3)
-        assert set(store.load("a" * 64)) == {3, 7}
+        store.save("a" * 64, results.take([0]))
+        store.save("a" * 64, results.take([1]))
+        assert store.load("a" * 64).indices.tolist() == [3, 7]
 
     def test_empty_save_is_a_noop(self, tmp_path):
         store = CounterfactualStore(tmp_path)
-        store.save("b" * 64, {}, n_features=3)
+        store.save("b" * 64, CounterfactualBatch.empty(0, 3))
         assert store.entries() == []
 
     def test_meta_survives_round_trip(self, tmp_path):
         store = CounterfactualStore(tmp_path)
-        results = _some_results()
-        results[3].meta["search_steps"] = 4
-        store.save("e" * 64, results, n_features=3)
+        store.save("e" * 64, _some_results(meta={"search_steps": 4}))
         loaded = store.load("e" * 64)
-        assert loaded[3].meta == {"search_steps": 4}
-        assert loaded[7] is None
+        assert loaded[0].meta == {"search_steps": 4}
+        assert loaded[1] is None
 
     def test_unserializable_meta_skips_persistence(self, tmp_path):
         """Meta the store cannot round-trip faithfully must not be persisted
         at all: a miss-and-recompute is safe, a silently stripped meta isn't."""
         store = CounterfactualStore(tmp_path)
-        results = _some_results()
-        results[3].meta["trace"] = object()
-        store.save("f0" * 32, results, n_features=3)
+        store.save("f0" * 32, _some_results(meta={"trace": object()}))
         assert store.entries() == []
         assert store.load("f0" * 32) is None
 
@@ -147,7 +147,7 @@ class TestRoundTrip:
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(pathlib.Path, "write_bytes", disk_full)
-        store.save("aa" * 32, _some_results(), n_features=3)  # must not raise
+        store.save("aa" * 32, _some_results())  # must not raise
         assert store.entries() == []
 
     @pytest.mark.parametrize("failing_call", [1, 2], ids=["payload", "manifest"])
@@ -169,7 +169,7 @@ class TestRoundTrip:
             return real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", flaky_replace)
-        store.save(fingerprint, _some_results(), n_features=3)  # must not raise
+        store.save(fingerprint, _some_results())  # must not raise
         monkeypatch.undo()
         assert len(calls) == failing_call
         assert list(tmp_path.glob("*.npz")) == []
@@ -178,21 +178,19 @@ class TestRoundTrip:
         assert store.load(fingerprint) is None
         assert (store.hit_count, store.miss_count) == (0, 1)
 
-        store.save(fingerprint, _some_results(), n_features=3)
+        store.save(fingerprint, _some_results())
         loaded = store.load(fingerprint)
         assert (store.hit_count, store.miss_count) == (1, 1)
         assert store.entries() == [fingerprint]
-        assert loaded[7] is None
-        assert np.array_equal(loaded[3].counterfactual,
-                              _some_results()[3].counterfactual)
+        assert loaded[1] is None
+        assert np.array_equal(loaded[0].counterfactual,
+                              _some_results()[0].counterfactual)
 
     def test_meta_with_nonstring_keys_skips_persistence(self, tmp_path):
         """json.dumps coerces int keys to strings without raising; meta that
         would come back changed must not be persisted either."""
         store = CounterfactualStore(tmp_path)
-        results = _some_results()
-        results[3].meta[7] = "int-keyed"
-        store.save("f1" * 32, results, n_features=3)
+        store.save("f1" * 32, _some_results(meta={7: "int-keyed"}))
         assert store.entries() == []
 
 
@@ -549,7 +547,7 @@ class TestRemoteBackendFingerprint:
 class TestCorruptionFallback:
     def _store_with_entry(self, tmp_path):
         store = CounterfactualStore(tmp_path)
-        store.save("c" * 64, _some_results(), n_features=3)
+        store.save("c" * 64, _some_results())
         return store
 
     def test_corrupted_manifest_is_a_miss_and_discarded(self, tmp_path):
@@ -618,9 +616,9 @@ class TestEviction:
         store = CounterfactualStore(tmp_path, max_entries=2)
         fingerprints = ["1" * 64, "2" * 64, "3" * 64]
         for k, fingerprint in enumerate(fingerprints):
-            store.save(fingerprint, _some_results(), n_features=3)
+            store.save(fingerprint, _some_results())
             os.utime(store._manifest_path(fingerprint), (k + 1, k + 1))
-        store.save("4" * 64, _some_results(), n_features=3)
+        store.save("4" * 64, _some_results())
         kept = store.entries()
         assert len(kept) <= 2
         assert "1" * 64 not in kept
@@ -629,7 +627,7 @@ class TestEviction:
     def test_byte_bound_is_respected(self, tmp_path):
         store = CounterfactualStore(tmp_path, max_bytes=1)
         for k, fingerprint in enumerate(["5" * 64, "6" * 64]):
-            store.save(fingerprint, _some_results(), n_features=3)
+            store.save(fingerprint, _some_results())
             os.utime(store._manifest_path(fingerprint), (k + 1, k + 1))
         # A single entry may exceed a tiny bound (evicting everything would
         # thrash), but the bound caps the directory at that one entry.
@@ -639,10 +637,10 @@ class TestEviction:
     def test_load_bumps_recency(self, tmp_path):
         store = CounterfactualStore(tmp_path, max_entries=2)
         for k, fingerprint in enumerate(["7" * 64, "8" * 64]):
-            store.save(fingerprint, _some_results(), n_features=3)
+            store.save(fingerprint, _some_results())
             os.utime(store._manifest_path(fingerprint), (k + 1, k + 1))
         store.load("7" * 64)  # touch the older entry
-        store.save("9" * 64, _some_results(), n_features=3)
+        store.save("9" * 64, _some_results())
         kept = store.entries()
         assert "7" * 64 in kept and "8" * 64 not in kept
 
@@ -660,9 +658,9 @@ class TestEviction:
         # Eviction pressure: the oldest *.json in the directory is the
         # journal, but only real entries may be LRU-evicted.
         os.utime(journal, (1, 1))
-        store.save("a" * 64, _some_results(), n_features=3)
+        store.save("a" * 64, _some_results())
         os.utime(store._manifest_path("a" * 64), (2, 2))
-        store.save("b" * 64, _some_results(), n_features=3)
+        store.save("b" * 64, _some_results())
         assert journal.exists()
         assert store.entries() == ["b" * 64]
 
@@ -674,12 +672,14 @@ class TestEviction:
 _WRITER_SCRIPT = textwrap.dedent("""
     import sys
     import numpy as np
-    from fairexp.explanations import Counterfactual, CounterfactualStore
+    from fairexp.explanations import (
+        Counterfactual, CounterfactualBatch, CounterfactualStore,
+    )
 
     directory, value, repeats = sys.argv[1], float(sys.argv[2]), int(sys.argv[3])
     store = CounterfactualStore(directory)
-    results = {
-        i: Counterfactual(
+    results = CounterfactualBatch.from_counterfactuals(range(6), [
+        Counterfactual(
             original=np.zeros(3),
             counterfactual=np.full(3, value),
             original_prediction=0,
@@ -689,9 +689,9 @@ _WRITER_SCRIPT = textwrap.dedent("""
             feasible=True,
         )
         for i in range(6)
-    }
+    ], 3)
     for _ in range(repeats):
-        store.save("d" * 64, results, n_features=3, merge=False)
+        store.save("d" * 64, results, merge=False)
 """)
 
 
@@ -718,10 +718,10 @@ class TestConcurrentWriters:
             assert writer.returncode == 0, stderr.decode()
         store = CounterfactualStore(tmp_path)
         loaded = store.load("d" * 64)
-        assert loaded is not None and set(loaded) == set(range(6))
-        constants = {float(result.distance) for result in loaded.values()}
+        assert loaded is not None and loaded.indices.tolist() == list(range(6))
+        constants = {float(result.distance) for result in loaded}
         assert len(constants) == 1 and constants <= {1.0, 2.0}
-        for result in loaded.values():
+        for result in loaded:
             assert np.all(result.counterfactual == result.distance)
 
 
@@ -785,22 +785,23 @@ class TestSessionIntegration:
 
 class TestCompressionAndFormatCompat:
     def test_new_entries_are_compressed_and_versioned(self, tmp_path):
-        from fairexp.explanations.store import STORE_FORMAT_VERSION, _pack_results
+        from fairexp.explanations.store import STORE_FORMAT_VERSION
 
         store = CounterfactualStore(tmp_path)
         # Repetitive payload so deflate has something to chew on.
-        results = {
-            i: Counterfactual(
+        results = CounterfactualBatch.from_counterfactuals(range(64), [
+            Counterfactual(
                 original=np.zeros(16), counterfactual=np.ones(16),
                 original_prediction=0, counterfactual_prediction=1,
                 changed_features=tuple(range(16)), distance=16.0,
             )
             for i in range(64)
-        }
-        store.save("a" * 64, results, n_features=16)
+        ], 16)
+        store.save("a" * 64, results)
         manifest = json.loads(store._manifest_path("a" * 64).read_text())
-        assert manifest["format_version"] == STORE_FORMAT_VERSION == 2
-        packed = _pack_results(results, 16)
+        assert manifest["format_version"] == STORE_FORMAT_VERSION == 3
+        packed = results.columns()
+        del packed["metas"]  # no row carries a meta, so the payload has none
         uncompressed, compressed = io.BytesIO(), io.BytesIO()
         np.savez(uncompressed, **packed)
         np.savez_compressed(compressed, **packed)
@@ -808,7 +809,7 @@ class TestCompressionAndFormatCompat:
         assert on_disk == len(compressed.getvalue())
         assert on_disk < len(uncompressed.getvalue())
         loaded = store.load("a" * 64)
-        assert set(loaded) == set(results)
+        assert loaded.indices.tolist() == results.indices.tolist()
         assert np.array_equal(loaded[0].counterfactual, results[0].counterfactual)
 
     def test_v1_manifest_is_a_miss_and_discarded(self, tmp_path):
@@ -817,12 +818,12 @@ class TestCompressionAndFormatCompat:
         and its manifest is discarded like any other corrupt entry."""
         import hashlib
 
-        from fairexp.explanations.store import _pack_results
-
         store = CounterfactualStore(tmp_path)
         results = _some_results()
         buffer = io.BytesIO()
-        np.savez(buffer, **_pack_results(results, 3))  # v1 wrote plain npz
+        columns = results.columns()
+        del columns["metas"]
+        np.savez(buffer, **columns)  # v1 wrote plain npz
         blob = buffer.getvalue()
         payload_path = store._payload_path("b" * 64, "deadbeef")
         payload_path.write_bytes(blob)
@@ -860,14 +861,14 @@ class TestLinearWarmLoad:
         and field (indexing a lazy ``NpzFile`` re-reads the whole member on
         every access, which made warm loads quadratic in the row count)."""
         rng = np.random.default_rng(0)
-        results = {
-            i: Counterfactual(
+        results = CounterfactualBatch.from_counterfactuals(range(2000), [
+            Counterfactual(
                 original=rng.normal(size=6), counterfactual=rng.normal(size=6),
                 original_prediction=0, counterfactual_prediction=1,
                 changed_features=(1, 4), distance=float(i), meta={"row": i},
             )
             for i in range(2000)
-        }
+        ], 6)
         reads = []
         original_getitem = np.lib.npyio.NpzFile.__getitem__
 
@@ -877,7 +878,7 @@ class TestLinearWarmLoad:
 
         monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting_getitem)
         store = CounterfactualStore(tmp_path)
-        store.save("a" * 64, results, n_features=6)
+        store.save("a" * 64, results)
         loaded = store.load("a" * 64)
         assert len(loaded) == 2000
         assert loaded[1999].meta == {"row": 1999}
@@ -899,19 +900,21 @@ _JSON_VALUES = st.recursive(
 
 
 @st.composite
-def _result_maps(draw):
-    """Row-index -> Counterfactual | None maps the store persists."""
+def _result_batches(draw):
+    """Batches the store persists: infeasible rows, all-infeasible batches,
+    empty and non-empty metas, up to 200 features."""
     n_features = draw(st.integers(1, 200))
-    indices = draw(st.lists(st.integers(0, 10_000), max_size=12, unique=True))
+    indices = draw(st.lists(st.integers(0, 10_000), min_size=1, max_size=12,
+                            unique=True))
     all_infeasible = draw(st.booleans())
     floats = st.floats(allow_nan=False)
     rows = hnp.arrays(np.float64, n_features, elements=floats)
-    results = {}
-    for index in indices:
+    results = []
+    for _ in indices:
         if all_infeasible or draw(st.booleans()):
-            results[index] = None
+            results.append(None)
             continue
-        results[index] = Counterfactual(
+        results.append(Counterfactual(
             original=draw(rows),
             counterfactual=draw(rows),
             original_prediction=draw(st.integers(-2**31, 2**31)),
@@ -921,43 +924,49 @@ def _result_maps(draw):
             distance=draw(floats),
             feasible=draw(st.booleans()),
             meta=draw(st.dictionaries(st.text(max_size=5), _JSON_VALUES, max_size=3)),
-        )
-    return results, n_features
+        ))
+    return CounterfactualBatch.from_counterfactuals(indices, results, n_features)
 
 
 class TestPayloadRoundTripProperty:
     @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(_result_maps())
-    def test_every_field_round_trips_exactly(self, case):
-        from fairexp.explanations.store import _pack_results, _unpack_results
-
-        results, n_features = case
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **_pack_results(results, n_features))
-        buffer.seek(0)
-        with np.load(buffer) as payload:
-            loaded = _unpack_results({name: payload[name] for name in payload.files})
-        assert set(loaded) == set(results)
-        for index, expected in results.items():
-            actual = loaded[index]
-            if expected is None:
-                assert actual is None
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(_result_batches())
+    def test_every_field_round_trips_exactly(self, tmp_path, batch):
+        store = CounterfactualStore(tmp_path)
+        store.save("a" * 64, batch, merge=False)
+        loaded = store.load("a" * 64)
+        expected = batch.take(np.argsort(batch.indices))  # entries are index-sorted
+        for name, column in expected.columns().items():
+            if name == "metas":
                 continue
-            assert _bits(actual.original) == _bits(expected.original)
-            assert _bits(actual.counterfactual) == _bits(expected.counterfactual)
-            assert actual.original_prediction == expected.original_prediction
-            assert actual.counterfactual_prediction == expected.counterfactual_prediction
-            assert actual.changed_features == expected.changed_features
-            assert _bits(actual.distance) == _bits(expected.distance)
-            assert actual.feasible is expected.feasible
-            assert actual.meta == expected.meta
+            got = getattr(loaded, name)
+            assert got.dtype == column.dtype and got.shape == column.shape, name
+            assert got.tobytes() == column.tobytes(), name
+        metas = [meta or {} for meta in expected.metas]
+        manifest = json.loads(store._manifest_path("a" * 64).read_text())
+        with np.load(tmp_path / manifest["payload"]) as payload:
+            assert ("metas" in payload.files) == any(metas)  # only when some row has one
+        assert [row.meta for row in loaded if row is not None] == \
+            [meta for meta, row in zip(metas, expected) if row is not None]
+        for actual, original in zip(loaded, expected):
+            assert (actual is None) == (original is None)
+            if actual is None:
+                continue
+            assert _bits(actual.original) == _bits(original.original)
+            assert _bits(actual.counterfactual) == _bits(original.counterfactual)
+            assert actual.original_prediction == original.original_prediction
+            assert actual.counterfactual_prediction == original.counterfactual_prediction
+            assert actual.changed_features == original.changed_features
+            assert _bits(actual.distance) == _bits(original.distance)
+            assert actual.feasible is original.feasible
 
 
 class TestStoreMetrics:
     def test_bytes_read_accumulates_on_validated_loads(self, tmp_path):
         store = CounterfactualStore(tmp_path)
-        store.save("a" * 64, _some_results(), n_features=3)
+        store.save("a" * 64, _some_results())
         assert store.bytes_read == 0
         store.load("a" * 64)
         payload_bytes = sum(p.stat().st_size for p in store.directory.glob("*.npz"))
@@ -973,7 +982,7 @@ class TestStoreMetrics:
     def test_stats_report_entry_ages(self, tmp_path):
         store = CounterfactualStore(tmp_path)
         assert store.stats()["store_entry_age_seconds_max"] == 0
-        store.save("a" * 64, _some_results(), n_features=3)
+        store.save("a" * 64, _some_results())
         old = store._manifest_path("a" * 64)
         os.utime(old, (old.stat().st_atime, old.stat().st_mtime - 3600))
         stats = store.stats()
@@ -982,8 +991,8 @@ class TestStoreMetrics:
 
     def test_entry_details_oldest_first(self, tmp_path):
         store = CounterfactualStore(tmp_path)
-        store.save("a" * 64, _some_results(), n_features=3)
-        store.save("b" * 64, _some_results(), n_features=3)
+        store.save("a" * 64, _some_results())
+        store.save("b" * 64, _some_results())
         older = store._manifest_path("b" * 64)
         os.utime(older, (older.stat().st_atime, older.stat().st_mtime - 600))
         details = store.entry_details()
@@ -991,7 +1000,7 @@ class TestStoreMetrics:
         for detail in details:
             assert detail["n_rows"] == 2
             assert detail["bytes"] > 0
-            assert detail["format_version"] == 2
+            assert detail["format_version"] == 3
 
     def test_session_stats_fold_in_bytes_read(self, tmp_path, loan_workload):
         dataset, train, subset, model, constraints = loan_workload
@@ -1007,16 +1016,16 @@ class TestStoreMetrics:
 class TestExplicitEviction:
     def test_evict_by_fingerprint_prefix(self, tmp_path):
         store = CounterfactualStore(tmp_path)
-        store.save("a" * 64, _some_results(), n_features=3)
-        store.save("b" * 64, _some_results(), n_features=3)
+        store.save("a" * 64, _some_results())
+        store.save("b" * 64, _some_results())
         assert store.evict(fingerprint="a") == 1
         assert store.entries() == ["b" * 64]
         assert store.evict(fingerprint="nope") == 0
 
     def test_ambiguous_prefix_raises_instead_of_mass_deleting(self, tmp_path):
         store = CounterfactualStore(tmp_path)
-        store.save("ab" + "0" * 62, _some_results(), n_features=3)
-        store.save("ac" + "0" * 62, _some_results(), n_features=3)
+        store.save("ab" + "0" * 62, _some_results())
+        store.save("ac" + "0" * 62, _some_results())
         with pytest.raises(ValueError, match="ambiguous"):
             store.evict(fingerprint="a")
         assert len(store.entries()) == 2  # nothing was deleted
@@ -1025,7 +1034,7 @@ class TestExplicitEviction:
     def test_fingerprint_and_bounds_compose(self, tmp_path):
         store = CounterfactualStore(tmp_path)
         for letter in "abc":
-            store.save(letter * 64, _some_results(), n_features=3)
+            store.save(letter * 64, _some_results())
         removed = store.evict(fingerprint="a", max_entries=1)
         assert removed == 2  # the named entry plus one more for the bound
         assert len(store.entries()) == 1
@@ -1033,7 +1042,7 @@ class TestExplicitEviction:
     def test_evict_to_entry_and_byte_bounds(self, tmp_path):
         store = CounterfactualStore(tmp_path)
         for k, letter in enumerate("abcd"):
-            store.save(letter * 64, _some_results(), n_features=3)
+            store.save(letter * 64, _some_results())
             older = store._manifest_path(letter * 64)
             os.utime(older, (older.stat().st_atime,
                              older.stat().st_mtime - (4 - k) * 100))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fairexp.cli import main
-from fairexp.explanations import Counterfactual, CounterfactualStore
+from fairexp.explanations import Counterfactual, CounterfactualBatch, CounterfactualStore
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
@@ -22,7 +22,8 @@ def _populate(directory, fingerprints=("a", "b")):
         changed_features=(0, 1, 2), distance=3.0,
     )
     for letter in fingerprints:
-        store.save(letter * 64, {0: counterfactual, 1: None}, n_features=3)
+        store.save(letter * 64, CounterfactualBatch.from_counterfactuals(
+            [0, 1], [counterfactual, None], 3))
     return store
 
 
@@ -97,8 +98,9 @@ class TestEvictAndClear:
             original_prediction=0, counterfactual_prediction=1,
             changed_features=(0, 1, 2), distance=3.0,
         )
-        store.save("ab" + "0" * 62, {0: counterfactual}, n_features=3)
-        store.save("ac" + "0" * 62, {0: counterfactual}, n_features=3)
+        batch = CounterfactualBatch.from_counterfactuals([0], [counterfactual], 3)
+        store.save("ab" + "0" * 62, batch)
+        store.save("ac" + "0" * 62, batch)
         with pytest.raises(SystemExit, match="ambiguous"):
             main(["store", "evict", "--dir", str(tmp_path), "--fingerprint", "a"])
         assert len(store.entries()) == 2

@@ -125,6 +125,13 @@ class TestRecMetrics:
         assert precision_at_k(recommendations, holdout) == pytest.approx(0.75)
         assert recall_at_k(recommendations, holdout) == pytest.approx(1.0)
 
+    def test_precision_for_zero_users_is_zero(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert precision_at_k(np.zeros((0, 3), dtype=int), np.zeros((0, 10))) == 0.0
+
     def test_ndcg_bounds(self, rng):
         holdout = (rng.random((20, 30)) < 0.2).astype(float)
         recommendations = np.argsort(-rng.random((20, 30)), axis=1)[:, :10]
@@ -159,6 +166,14 @@ class TestRecMetrics:
     def test_popularity_lift_above_one_for_biased_recommender(self, interactions, recwalk):
         recs = recwalk.recommend_all(k=5)
         assert popularity_lift(recs, interactions) > 1.0
+
+    def test_popularity_lift_of_empty_recommendations_is_zero(self, interactions):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            empty = np.zeros((interactions.n_users, 0), dtype=int)
+            assert popularity_lift(empty, interactions) == 0.0
 
     def test_user_group_quality_gap_sign(self, rng):
         holdout = np.zeros((10, 20))
